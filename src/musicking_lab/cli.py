@@ -17,7 +17,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .errors import (
     TooFewValues,
     UnknownSession,
 )
-from .ingest import discover_dataset, load_bundled_beat_grid, load_session, parse_beat_grid
+from .ingest import DatasetWalk, find_session, load_bundled_beat_grid, parse_beat_grid
 from .model import SKELETON_PARTS, BeatGrid, EEG_CHANNELS, Session, column_values
 
 log = logging.getLogger("musicking_lab")
@@ -64,6 +63,8 @@ class RunConfig:
     seed: int = 0
     k_range: tuple[int, int] = (2, 8)
     svg: bool = False
+    # Accepted and echoed into the outputs, but unused: sessions are parsed
+    # in one thread, since pure-Python parsing holds the interpreter lock.
     workers: int | None = None
 
     def validate(self) -> None:
@@ -178,14 +179,6 @@ def _ensure_writable(directory: str) -> Path:
     return path
 
 
-def _pool_map(func, items, workers: int | None):
-    items = list(items)
-    if len(items) <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers or os.cpu_count() or 1) as pool:
-        return list(pool.map(func, items))
-
-
 def _load_grid(config: RunConfig) -> BeatGrid:
     if config.beat_grid_path is None:
         return load_bundled_beat_grid()
@@ -195,11 +188,10 @@ def _load_grid(config: RunConfig) -> BeatGrid:
 def _find_session(config: RunConfig, session_id: str) -> Session:
     if config.dataset_dir is None:
         raise UnknownSession("no dataset directory configured")
-    manifest = discover_dataset(config.dataset_dir)
-    for entry in manifest.entries:
-        if entry.session_id == session_id:
-            return load_session(entry.path)
-    raise UnknownSession(f"session {session_id!r} not found in {config.dataset_dir}")
+    session = find_session(config.dataset_dir, session_id)
+    if session is None:
+        raise UnknownSession(f"session {session_id!r} not found in {config.dataset_dir}")
+    return session
 
 
 def _performance_values(session: Session, column: str, exclude_nonperformance: bool) -> list:
@@ -218,20 +210,16 @@ def cmd_validate(config: RunConfig) -> int:
         return 1
     out = _ensure_writable(config.output_dir) / "validate"
     try:
-        manifest = discover_dataset(config.dataset_dir)
+        walk = DatasetWalk(config.dataset_dir)
     except OSError as exc:
         log.error("cannot read dataset directory: %s", exc)
         return 1
 
-    def audit(entry):
-        session = load_session(entry.path)
+    for session in walk:
         report = quality.integrity_report(session, config.confidence_threshold,
                                           iqr_k=config.iqr_k)
-        return entry.session_id, report
-
-    reports = _pool_map(audit, manifest.entries, config.workers)
-    for session_id, report in reports:
-        write_json(out / f"{session_id}.quality.json", report.as_dict())
+        write_json(out / f"{session.session_id}.quality.json", report.as_dict())
+    manifest = walk.manifest()
     write_json(out / "summary.json", {
         "config": config.as_dict(),
         "sessions": [asdict(e) for e in manifest.entries],
@@ -397,81 +385,93 @@ def _write_analyze_svgs(out: Path, session: Session, bundle: dict) -> None:
 
 # -- compare -----------------------------------------------------------------
 
+def _top_correlated(correlations: dict[str, float]) -> list[str]:
+    ranked = sorted(correlations.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
+    return [session_id for session_id, _ in ranked[:TOP_CORRELATED_SESSIONS]]
+
+
+def _overlay(session: Session) -> list[dict]:
+    try:
+        segments = timing.segment_choruses(session)
+    except MissingChorusIds:
+        segments = []
+    eda = column_values(session, "eda")
+    flow = column_values(session, "flow")
+    return [{
+        "chorus_id": seg.chorus_id,
+        "t_ms": [rec.backing_track_position
+                 for rec in session.records[seg.start_index:seg.end_index + 1]],
+        "eda": eda[seg.start_index:seg.end_index + 1],
+        "flow": flow[seg.start_index:seg.end_index + 1],
+    } for seg in segments if seg.performance]
+
+
 def cmd_compare(config: RunConfig) -> int:
-    """Cross-session comparison: summary table, box stats, ANOVA, overlays."""
+    """Cross-session comparison: summary table, box stats, ANOVA, overlays.
+
+    Sessions stream through one at a time in file-name order; only what the
+    outputs need is kept, and the outputs are ordered by session id.
+    """
     if config.dataset_dir is None:
         log.error("compare needs --dataset (or %s)", DATASET_ENV_VAR)
         return 1
-    manifest = discover_dataset(config.dataset_dir)
-    if len(manifest.entries) < 2:
-        raise TooFewSessions(f"compare needs >= 2 sessions, found {len(manifest.entries)}")
-    out = _ensure_writable(config.output_dir) / "compare"
 
-    sessions = _pool_map(lambda e: load_session(e.path), manifest.entries, config.workers)
-
+    session_count = 0
     summary_rows = []
     box_stats = {}
-    groups = []
+    groups = {}
     correlations = {}
-    for session in sessions:
+    overlays = {}  # choruses of the sessions currently among the top correlated
+    for session in DatasetWalk(config.dataset_dir):
+        session_count += 1
+        session_id = session.session_id
         eda = _performance_values(session, "eda", config.exclude_nonperformance)
         try:
             summary = analytics.describe(eda)
         except EmptySeries:
             continue
-        summary_rows.append([session.session_id, summary.count, summary.mean, summary.std,
+        summary_rows.append([session_id, summary.count, summary.mean, summary.std,
                              summary.min, summary.q25, summary.median, summary.q75,
                              summary.max])
         try:
             entry = quality.iqr_outliers(eda, k=config.iqr_k)
-            box_stats[session.session_id] = {
+            box_stats[session_id] = {
                 "median": summary.median, "q25": summary.q25, "q75": summary.q75,
                 "lower_fence": entry.lower, "upper_fence": entry.upper,
                 "outlier_count": len(entry.indices)}
         except TooFewValues:
-            box_stats[session.session_id] = dict(INSUFFICIENT)
-        groups.append(eda)
+            box_stats[session_id] = dict(INSUFFICIENT)
+        groups[session_id] = eda
         flow = _performance_values(session, "flow", config.exclude_nonperformance)
         try:
-            correlations[session.session_id] = analytics.correlate(eda, flow)
+            correlations[session_id] = analytics.correlate(eda, flow)
         except (TooFewPairs, DegenerateSeries):
-            pass
+            continue
+        top = _top_correlated(correlations)
+        if session_id in top:
+            overlays[session_id] = _overlay(session)
+            overlays = {sid: overlays[sid] for sid in top if sid in overlays}
+    if session_count < 2:
+        raise TooFewSessions(f"compare needs >= 2 sessions, found {session_count}")
+    out = _ensure_writable(config.output_dir) / "compare"
 
+    summary_rows.sort(key=lambda row: row[0])
     write_csv(out / "eda_summary.csv",
               ["session_id", "count", "mean", "std", "min", "25%", "50%", "75%", "max"],
               summary_rows)
     write_json(out / "boxplot.json", box_stats)
 
     try:
-        anova = stats.anova_oneway(groups).as_dict()
+        # The group order sets the order of ANOVA's floating-point sums.
+        anova = stats.anova_oneway([groups[sid] for sid in sorted(groups)]).as_dict()
     except (TooFewGroups, DegenerateVariance) as exc:
         anova = dict(INSUFFICIENT, reason=str(exc))
     write_json(out / "anova.json", anova)
 
-    ranked = sorted(correlations.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
-    top = ranked[:TOP_CORRELATED_SESSIONS]
-    overlays = {}
-    by_id = {s.session_id: s for s in sessions}
-    for session_id, r in top:
-        session = by_id[session_id]
-        try:
-            segments = timing.segment_choruses(session)
-        except MissingChorusIds:
-            segments = []
-        eda = column_values(session, "eda")
-        flow = column_values(session, "flow")
-        overlays[session_id] = {
-            "correlation": r,
-            "choruses": [{
-                "chorus_id": seg.chorus_id,
-                "t_ms": [rec.backing_track_position
-                         for rec in session.records[seg.start_index:seg.end_index + 1]],
-                "eda": eda[seg.start_index:seg.end_index + 1],
-                "flow": flow[seg.start_index:seg.end_index + 1],
-            } for seg in segments if seg.performance],
-        }
-    write_json(out / "top_correlated.json", overlays)
-    log.info("compared %d sessions into %s", len(sessions), out)
+    write_json(out / "top_correlated.json", {
+        sid: {"correlation": correlations[sid], "choruses": overlays[sid]}
+        for sid in _top_correlated(correlations)})
+    log.info("compared %d sessions into %s", session_count, out)
     return 0
 
 
@@ -497,9 +497,9 @@ def cmd_cluster(config: RunConfig, session_id: str, column: str = "eda") -> int:
         log.warning("k-range upper bound clamped to %d (only %d bars)", hi, rows)
     if lo > hi:
         raise InvalidRange(f"k range [{lo}, {hi}] invalid for {rows} bars")
-    best_k, diagnostics = cluster.select_k(matrix.rows, (lo, hi), seed=config.seed)
-    result = cluster.kmeans_fit(matrix.rows, best_k, seed=config.seed,
-                                row_labels=matrix.bar_index)
+    best_k, diagnostics = cluster.select_k(matrix.rows, (lo, hi), seed=config.seed,
+                                           row_labels=matrix.bar_index)
+    result = next(d.fit for d in diagnostics if d.k == best_k)
 
     write_csv(out / "diagnostics.csv", ["k", "inertia", "silhouette"],
               [[d.k, d.inertia, d.silhouette] for d in diagnostics])
@@ -552,7 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="include_nonperformance",
                        help="keep chorus 0/999 records in analyses")
         p.add_argument("--svg", action="store_true", help="render SVG figures")
-        p.add_argument("--workers", type=int, help="worker pool size")
+        p.add_argument("--workers", type=int,
+                       help="accepted for compatibility; has no effect")
 
     p_validate = sub.add_parser("validate", help="audit data quality of every session")
     common(p_validate)

@@ -9,7 +9,7 @@ seed is recorded in the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +53,7 @@ class KDiagnostic:
     k: int
     inertia: float
     silhouette: float
+    fit: ClusterResult | None = field(default=None, compare=False, repr=False)
 
 
 def _filter_chorus(session: Session, chorus: int) -> Session:
@@ -250,11 +251,14 @@ def silhouette(X: np.ndarray, result: ClusterResult) -> float:
 
 def select_k(X: np.ndarray, k_range: tuple[int, int], seed: int = 0,
              max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL,
+             row_labels: Sequence[int] | None = None,
              ) -> tuple[int, list[KDiagnostic]]:
     """Fit every k in the inclusive range and pick the silhouette argmax.
 
     Ties go to the smaller k.  The full diagnostics table (inertia and
-    silhouette per k) comes back too, so elbow judgment stays possible.
+    silhouette per k) comes back too, so elbow judgment stays possible;
+    each row keeps its fit, keyed by ``row_labels`` as in
+    :func:`kmeans_fit`, so the chosen model need not be fitted again.
 
     Raises:
         InvalidRange: Empty range, or bounds outside [2, rows - 1].
@@ -266,9 +270,10 @@ def select_k(X: np.ndarray, k_range: tuple[int, int], seed: int = 0,
     diagnostics = []
     best_k, best_score = None, -np.inf
     for k in range(lo, hi + 1):
-        result = kmeans_fit(X, k, seed=seed, max_iter=max_iter, tol=tol)
+        result = kmeans_fit(X, k, seed=seed, max_iter=max_iter, tol=tol, row_labels=row_labels)
         score = silhouette(X, result)
-        diagnostics.append(KDiagnostic(k=k, inertia=result.inertia, silhouette=score))
+        diagnostics.append(KDiagnostic(k=k, inertia=result.inertia, silhouette=score,
+                                       fit=result))
         if score > best_score:
             best_k, best_score = k, score
     return best_k, diagnostics

@@ -5,8 +5,7 @@ over a shared backing track.  Each record carries synchronization fields
 (backing-track position in milliseconds, inter-record delta, chorus id),
 physiological channels (skin conductance, four EEG electrodes), a
 self-reported flow score, and a 2-D skeleton with a per-part detector
-confidence.  All types are frozen value objects: safe to share between
-concurrent analysis workers.
+confidence.  All types are frozen value objects.
 
 Validation is data, not control flow: ``validate_record`` and
 ``validate_session`` return lists of human-readable violation strings and

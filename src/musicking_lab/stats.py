@@ -73,30 +73,40 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
 
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    # I_x(a, b) with y = 1 - x passed separately: when x is within a rounding
+    # error of 1, its complement y cannot be recovered as 1.0 - x.
+    if x == 0.0:
+        return 0.0
+    if y == 0.0:
+        return 1.0
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    # The continued fraction converges fast only on one side of the
+    # crossover; use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) past it.
+    if x < (a + 1.0) / (a + b + 2.0):
+        front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta)
+        return front * _beta_continued_fraction(a, b, x) / a
+    front = math.exp(a * math.log1p(-y) + b * math.log(y) - log_beta)
+    return 1.0 - front * _beta_continued_fraction(b, a, y) / b
+
+
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    log_front = (a * math.log(x) + b * math.log1p(-x)
-                 - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)))
-    front = math.exp(log_front)
-    # The continued fraction converges fast only on one side of the
-    # crossover; use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) past it.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+    return _incomplete_beta(a, b, x, 1.0 - x)
 
 
 def f_survival(f: float, df1: int, df2: int) -> float:
-    """P(F >= f) for the F distribution with (df1, df2) degrees of freedom."""
+    """P(F >= f) for the F distribution with (df1, df2) degrees of freedom.
+
+    Both x = df2 / (df2 + df1 f) and its complement are computed directly,
+    so the result stays accurate as f -> 0, where x rounds to 1.
+    """
     if f <= 0.0:
         return 1.0
-    x = df2 / (df2 + df1 * f)
-    return regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, x)
+    denominator = df2 + df1 * f
+    return _incomplete_beta(df2 / 2.0, df1 / 2.0, df2 / denominator, df1 * f / denominator)
 
 
 def anova_oneway(groups: Sequence[Sequence[float | None]]) -> AnovaResult:

@@ -254,6 +254,20 @@ class TestCmdCluster:
         assert total == 81
         assert (out / "silhouette.svg").exists()
 
+    def test_best_k_not_fitted_again(self, tmp_path, grid, monkeypatch):
+        from musicking_lab import cluster
+        fitted = []
+        real = cluster.kmeans_fit
+
+        def counting(X, k, *args, **kwargs):
+            fitted.append(k)
+            return real(X, k, *args, **kwargs)
+
+        monkeypatch.setattr(cluster, "kmeans_fit", counting)
+        ids = write_corpus(tmp_path / "data", grid, count=1)
+        assert cmd_cluster(config_for(tmp_path), ids[0], "eda") == 0
+        assert fitted == [2, 3, 4, 5, 6, 7, 8]
+
     def test_flat_eda_warns(self, tmp_path, grid, caplog):
         data = tmp_path / "data"
         data.mkdir()

@@ -261,3 +261,13 @@ class TestSelectK:
         best_k, diagnostics = select_k(X, (2, 4), seed=0)
         assert best_k == 2
         assert all(d.silhouette == 0.0 for d in diagnostics)
+
+    def test_fits_kept_match_a_refit(self):
+        rng = np.random.default_rng(15)
+        X = blobs(rng, [(0, 0), (12, 0), (6, 10)], per_blob=10, spread=0.5)
+        labels = list(range(100, 100 + X.shape[0]))
+        _, diagnostics = select_k(X, (2, 5), seed=3, row_labels=labels)
+        for d in diagnostics:
+            refit = kmeans_fit(X, d.k, seed=3, row_labels=labels)
+            assert d.fit.as_dict() == refit.as_dict()
+            assert d.inertia == refit.inertia
