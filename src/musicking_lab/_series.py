@@ -14,8 +14,7 @@ import numpy as np
 
 def as_array(values: Sequence[float | None]) -> np.ndarray:
     """Copy a nullable sequence into a float array, None -> NaN."""
-    arr = np.array([math.nan if v is None else float(v) for v in values], dtype=float)
-    return arr
+    return np.array(values, dtype=float)
 
 
 def as_list(arr: np.ndarray) -> list[float | None]:

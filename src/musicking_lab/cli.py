@@ -20,6 +20,8 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import analytics, cluster, quality, stats, svg, timing
 from .errors import (
     EmptySeries,
@@ -28,6 +30,7 @@ from .errors import (
     InvalidRange,
     MissingChorusIds,
     MusickingError,
+    NonFinite,
     NoValidPoints,
     TooFewGroups,
     TooFewPairs,
@@ -158,8 +161,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # -- output helpers ---------------------------------------------------------
 
 def write_json(path: Path, payload) -> None:
+    try:
+        text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFinite(f"{path}: {exc}") from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n")
+    path.write_text(text + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -579,14 +586,16 @@ def main(argv: list[str] | None = None) -> int:
         log.error("%s", exc)
         return 1
     try:
-        if args.command == "validate":
-            return cmd_validate(config)
-        if args.command == "analyze":
-            return cmd_analyze(config, args.session)
-        if args.command == "compare":
-            return cmd_compare(config)
-        if args.command == "cluster":
-            return cmd_cluster(config, args.session, args.column)
+        # Overflows are reported where their results are refused, not as warnings.
+        with np.errstate(over="ignore"):
+            if args.command == "validate":
+                return cmd_validate(config)
+            if args.command == "analyze":
+                return cmd_analyze(config, args.session)
+            if args.command == "compare":
+                return cmd_compare(config)
+            if args.command == "cluster":
+                return cmd_cluster(config, args.session, args.column)
     except (MusickingError, OSError) as exc:
         log.error("%s", exc)
         return 1

@@ -14,9 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
+from ._series import as_array
 from .errors import InvalidK, InvalidRange, NonFinite, TooFewRows
-from .model import BarFeatureMatrix, BeatGrid, Session
-from .timing import PER_BAR_STATS, aggregate_per_bar
+from .model import BarFeatureMatrix, BeatGrid, Session, column_values
+from .timing import PER_BAR_STATS, _bar_groups, _bar_stat
 
 DEFAULT_BAR_FEATURES = ("mean", "std", "min", "max")
 DEFAULT_TOL = 1e-6
@@ -56,11 +57,6 @@ class KDiagnostic:
     fit: ClusterResult | None = field(default=None, compare=False, repr=False)
 
 
-def _filter_chorus(session: Session, chorus: int) -> Session:
-    records = tuple(r for r in session.records if r.chorus_id == chorus)
-    return Session(session_id=session.session_id, records=records)
-
-
 def bar_features(session: Session, grid: BeatGrid, column: str,
                  features: Sequence[str] = DEFAULT_BAR_FEATURES,
                  include_nonperformance: bool = False,
@@ -81,15 +77,14 @@ def bar_features(session: Session, grid: BeatGrid, column: str,
     for stat in features:
         if stat not in PER_BAR_STATS:
             raise ValueError(f"feature must be one of {PER_BAR_STATS}, got {stat!r}")
-    source = _filter_chorus(session, chorus) if chorus is not None else session
-    per_stat = {stat: aggregate_per_bar(source, grid, column, stat=stat,
-                                        include_nonperformance=include_nonperformance,
-                                        offset_ms=offset_ms)
-                for stat in features}
-    marker = per_stat[features[0]]
-    kept = [b for b in range(grid.n_bars) if marker[b] is not None]
-    dropped = [b for b in range(grid.n_bars) if marker[b] is None]
-    rows = np.array([[per_stat[stat][b] for stat in features] for b in kept], dtype=float)
+    values = as_array(column_values(session, column))
+    if chorus is not None:
+        values[as_array(column_values(session, "chorus_id")) != chorus] = np.nan
+    groups = _bar_groups(session, grid, values, include_nonperformance, offset_ms)
+    kept = [b for b, bucket in enumerate(groups) if bucket.size]
+    dropped = [b for b, bucket in enumerate(groups) if not bucket.size]
+    rows = np.array([[_bar_stat(groups[b], stat) for stat in features] for b in kept],
+                    dtype=float)
     rows = rows.reshape(len(kept), len(features))
     if standardize and rows.size:
         mean = rows.mean(axis=0)

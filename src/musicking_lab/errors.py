@@ -102,7 +102,7 @@ class TooFewRows(MusickingError):
 
 
 class NonFinite(MusickingError):
-    """Feature matrix contains NaN or infinity."""
+    """A feature matrix, a computed statistic or an output value is NaN or infinite."""
 
 
 class InvalidK(MusickingError):

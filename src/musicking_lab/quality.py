@@ -9,7 +9,7 @@ parallelizable per column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -17,13 +17,13 @@ import numpy as np
 from ._series import as_array, as_list, nonnull
 from .errors import AllMissing, TooFewValues
 from .model import (
+    SKELETON_AXES,
     SKELETON_PARTS,
     ColumnQuality,
     QualityReport,
     Session,
     canonical_columns,
     column_values,
-    skeleton_columns,
 )
 
 DEFAULT_IQR_K = 1.5
@@ -157,21 +157,14 @@ def sentinel_scan(session: Session,
         raise ValueError(f"confidence threshold {confidence_threshold} not in [0, 1]")
     scan: dict[str, SentinelCounts] = {}
     for part in SKELETON_PARTS:
-        confidences = [kp.confidence if (kp := r.keypoints.get(part)) is not None else None
-                       for r in session.records]
-        low = sum(1 for c in confidences if c is not None and c < confidence_threshold)
-        for axis in ("x", "y"):
-            col = column_values(session, f"{part}_{axis}")
+        confidences = as_array(column_values(session, f"{part}_confidence"))
+        low = int((confidences < confidence_threshold).sum())
+        for axis in SKELETON_AXES:
+            own = axis == "confidence"
+            col = confidences if own else as_array(column_values(session, f"{part}_{axis}"))
             scan[f"hardware_skeleton_{part}_{axis}"] = SentinelCounts(
-                minus_one_count=sum(1 for v in col if v == -1),
-                zero_count=sum(1 for v in col if v == 0),
-                low_confidence_count=low,
-            )
-        scan[f"hardware_skeleton_{part}_confidence"] = SentinelCounts(
-            minus_one_count=sum(1 for c in confidences if c == -1),
-            zero_count=sum(1 for c in confidences if c == 0),
-            low_confidence_count=0,
-        )
+                minus_one_count=int((col == -1).sum()), zero_count=int((col == 0).sum()),
+                low_confidence_count=0 if own else low)
     return scan
 
 
@@ -194,22 +187,18 @@ def integrity_report(session: Session,
     outlier counts (columns with fewer than 4 non-null values report 0).
     """
     scan = sentinel_scan(session, confidence_threshold)
-    skeleton = set(skeleton_columns())
-    outlier_entries = outlier_report(session, k=iqr_k).columns if iqr_k is not None else {}
     columns: dict[str, ColumnQuality] = {}
     for name in canonical_columns():
-        values = column_values(session, name)
-        missing = sum(1 for v in values if v is None)
-        entry = outlier_entries.get(name)
-        outliers = 0 if entry is None else len(entry.indices)
-        if name in skeleton:
-            counts = scan[name]
-            columns[name] = ColumnQuality(
-                missing_count=missing, outlier_count=outliers,
-                minus_one_count=counts.minus_one_count,
-                zero_count=counts.zero_count,
-                low_confidence_count=counts.low_confidence_count)
-        else:
-            columns[name] = ColumnQuality(missing_count=missing, outlier_count=outliers)
+        values = as_array(column_values(session, name))
+        outliers = 0
+        if iqr_k is not None:
+            try:
+                outliers = len(iqr_outliers(values, k=iqr_k).indices)
+            except TooFewValues:
+                pass
+        sentinels = scan.get(name)
+        columns[name] = ColumnQuality(
+            missing_count=int(np.isnan(values).sum()), outlier_count=outliers,
+            **(asdict(sentinels) if sentinels is not None else {}))
     return QualityReport(session_id=session.session_id,
                          record_count=len(session.records), columns=columns)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ._series import as_array, nonnull
-from .errors import DegenerateVariance, TooFewGroups
+from .errors import DegenerateVariance, NonFinite, TooFewGroups
 
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 1000
@@ -120,6 +120,7 @@ def anova_oneway(groups: Sequence[Sequence[float | None]]) -> AnovaResult:
             non-null observations.
         DegenerateVariance: Zero within-group variance everywhere, which
             leaves F undefined.
+        NonFinite: The sums of squares or F overflow double precision.
     """
     cleaned = [nonnull(as_array(g)) for g in groups]
     if len(cleaned) < 2:
@@ -141,6 +142,8 @@ def anova_oneway(groups: Sequence[Sequence[float | None]]) -> AnovaResult:
     df_between = len(cleaned) - 1
     df_within = int(total) - len(cleaned)
     f_stat = (ss_between / df_between) / (ss_within / df_within)
+    if not all(math.isfinite(v) for v in (ss_between, ss_within, f_stat)):
+        raise NonFinite(f"ANOVA overflows double precision (F = {f_stat})")
     return AnovaResult(
         f_statistic=f_stat,
         p_value=f_survival(f_stat, df_between, df_within),

@@ -5,18 +5,21 @@ backing_track_position is authoritative for timing; sync_delta is kept for
 diagnostics only, since the position series is free of outliers.  Bar
 intervals are half-open [bar_start, next_bar_start) and the final bar
 extends to the track duration.
+
+A session is aligned in one array pass (a binary search of every position
+over the beat times).  Per-bar statistics stay numpy reductions over each
+bar's values in record order: a fused group-by sum (``np.add.reduceat``,
+weighted ``np.bincount``) would change the last bits of the results.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import analytics
+from ._series import as_array
 from .errors import MissingChorusIds, OutOfTrack, TooFewBeats, TooFewRecords
 from .model import PERFORMANCE_CHORUS_IDS, BeatGrid, Session, column_values
 from .quality import OutlierEntry, iqr_outliers
@@ -153,9 +156,18 @@ def estimate_tempo(grid: BeatGrid) -> float:
     return 60.0 / float(np.median(intervals))
 
 
-@lru_cache(maxsize=8)
-def _beat_times_ms(grid: BeatGrid) -> tuple[float, ...]:
-    return tuple(t * 1000.0 for t in grid.beat_times)
+def _align(positions_ms, grid: BeatGrid,
+           offset_ms: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offset-adjusted times, governing beats and on-track mask, in one pass.
+
+    The governing beat is the last beat at or before t (in ms), or beat 0
+    before the first beat.
+    """
+    t_ms = np.asarray(positions_ms, dtype=float) + offset_ms
+    beats_ms = np.asarray(grid.beat_times) * 1000.0
+    beat = np.maximum(np.searchsorted(beats_ms, t_ms, side="right") - 1, 0)
+    on_track = (t_ms >= 0.0) & (t_ms <= grid.duration_s * 1000.0)
+    return t_ms, beat, on_track
 
 
 def assign_musical_position(t_ms: float, grid: BeatGrid) -> MusicalPosition:
@@ -172,16 +184,32 @@ def assign_musical_position(t_ms: float, grid: BeatGrid) -> MusicalPosition:
     """
     if t_ms < 0.0 or t_ms > grid.duration_s * 1000.0:
         raise OutOfTrack(f"t = {t_ms / 1000.0:.3f}s outside [0, {grid.duration_s}]")
-    beats_ms = _beat_times_ms(grid)
-    beat = bisect_right(beats_ms, t_ms) - 1
-    if beat < 0:
-        beat = 0
+    beat = int(_align([t_ms], grid)[1][0])
     return MusicalPosition(
         bar_index=beat // 4,
         beat_index_global=beat,
         beat_in_bar=beat % 4,
-        offset_s=(t_ms - beats_ms[beat]) / 1000.0,
+        offset_s=(t_ms - grid.beat_times[beat] * 1000.0) / 1000.0,
     )
+
+
+def _bar_groups(session: Session, grid: BeatGrid, values: np.ndarray,
+                include_nonperformance: bool, offset_ms: float) -> list[np.ndarray]:
+    """Split a value array (NaN = null) into one array per bar.
+
+    Off-track records, nulls and, unless ``include_nonperformance``,
+    chorus 0/999 records are dropped; each bar keeps its values in record
+    order, whatever the order of the positions.
+    """
+    _, beat, keep = _align([r.backing_track_position for r in session.records],
+                           grid, offset_ms)
+    keep &= ~np.isnan(values)
+    if not include_nonperformance:
+        keep &= ~np.isin(as_array(column_values(session, "chorus_id")), (0, 999))
+    bars = beat[keep] // 4
+    order = np.argsort(bars, kind="stable")
+    bounds = np.cumsum(np.bincount(bars, minlength=grid.n_bars))[:-1]
+    return np.split(values[keep][order], bounds)
 
 
 def aggregate_per_bar(session: Session, grid: BeatGrid, column: str,
@@ -201,35 +229,18 @@ def aggregate_per_bar(session: Session, grid: BeatGrid, column: str,
     """
     if stat not in PER_BAR_STATS:
         raise ValueError(f"stat must be one of {PER_BAR_STATS}, got {stat!r}")
-    values = column_values(session, column)
-    buckets: list[list[float]] = [[] for _ in range(grid.n_bars)]
-    for record, value in zip(session.records, values):
-        if value is None:
-            continue
-        if not include_nonperformance and record.chorus_id in (0, 999):
-            continue
-        t_ms = record.backing_track_position + offset_ms
-        if t_ms < 0.0 or t_ms > grid.duration_s * 1000.0:
-            continue
-        position = assign_musical_position(t_ms, grid)
-        buckets[position.bar_index].append(float(value))
-    return [_bar_stat(bucket, stat) for bucket in buckets]
+    values = as_array(column_values(session, column))
+    groups = _bar_groups(session, grid, values, include_nonperformance, offset_ms)
+    return [_bar_stat(bucket, stat) for bucket in groups]
 
 
-def _bar_stat(bucket: list[float], stat: str) -> float | None:
-    if not bucket:
+def _bar_stat(bucket: np.ndarray, stat: str) -> float | None:
+    if not bucket.size:
         return None
-    arr = np.asarray(bucket)
-    if stat == "mean":
-        return float(arr.mean())
-    if stat == "sum":
-        return float(arr.sum())
-    if stat == "min":
-        return float(arr.min())
-    if stat == "max":
-        return float(arr.max())
-    # sample std; a single observation has no spread to report
-    return 0.0 if arr.size == 1 else float(arr.std(ddof=1))
+    if stat == "std":
+        # sample std; a single observation has no spread to report
+        return 0.0 if bucket.size == 1 else float(bucket.std(ddof=1))
+    return float(getattr(bucket, stat)())
 
 
 def per_bar_chorus(session: Session, grid: BeatGrid,
@@ -240,24 +251,11 @@ def per_bar_chorus(session: Session, grid: BeatGrid,
     Bars without any eligible record yield None.  Used to join per-bar
     cluster assignments back onto the chorus structure.
     """
-    buckets: list[Counter] = [Counter() for _ in range(grid.n_bars)]
-    for record in session.records:
-        if record.chorus_id is None:
-            continue
-        if not include_nonperformance and record.chorus_id in (0, 999):
-            continue
-        t_ms = record.backing_track_position + offset_ms
-        if t_ms < 0.0 or t_ms > grid.duration_s * 1000.0:
-            continue
-        position = assign_musical_position(t_ms, grid)
-        buckets[position.bar_index][record.chorus_id] += 1
+    ids = as_array(column_values(session, "chorus_id"))
     out: list[int | None] = []
-    for counter in buckets:
-        if not counter:
-            out.append(None)
-            continue
-        best = max(counter.items(), key=lambda kv: (kv[1], -kv[0]))
-        out.append(best[0])
+    for bucket in _bar_groups(session, grid, ids, include_nonperformance, offset_ms):
+        unique, counts = np.unique(bucket, return_counts=True)
+        out.append(int(unique[counts.argmax()]) if bucket.size else None)
     return out
 
 
@@ -275,13 +273,8 @@ class AlignedRecord:
 def align_session(session: Session, grid: BeatGrid,
                   offset_ms: float = 0.0) -> list[AlignedRecord]:
     """Tabulate every record's grid position for export."""
-    rows = []
-    for i, record in enumerate(session.records):
-        t_ms = record.backing_track_position + offset_ms
-        if 0.0 <= t_ms <= grid.duration_s * 1000.0:
-            position = assign_musical_position(t_ms, grid)
-            bar, beat_in_bar = position.bar_index, position.beat_in_bar
-        else:
-            bar = beat_in_bar = None
-        rows.append(AlignedRecord(i, t_ms, record.chorus_id, bar, beat_in_bar))
-    return rows
+    t_ms, beat, on_track = _align([r.backing_track_position for r in session.records],
+                                  grid, offset_ms)
+    return [AlignedRecord(i, t, record.chorus_id, b // 4 if on else None, b % 4 if on else None)
+            for i, (record, t, b, on) in enumerate(zip(session.records, t_ms.tolist(),
+                                                       beat.tolist(), on_track.tolist()))]

@@ -239,3 +239,47 @@ def oracle_kmeans_optimum_fast(X: np.ndarray, k: int) -> float:
         within = sumsq - (sums ** 2).sum(axis=2) / counts
     within[counts == 0] = 0.0
     return float(within.sum(axis=1).min())
+
+
+def oracle_beat(t_ms: float, grid) -> int | None:
+    """Governing beat of a track time by a linear scan of the beats (in ms);
+    None off the track, beat 0 before the first beat."""
+    if not 0.0 <= t_ms <= grid.duration_s * 1000.0:
+        return None
+    beat = 0
+    for b, t in enumerate(grid.beat_times):
+        if t * 1000.0 <= t_ms:
+            beat = b
+    return beat
+
+
+def oracle_bar_buckets(session, grid, values, include_nonperformance=False,
+                       offset_ms=0.0) -> list[list[float]]:
+    """Per-bar lists of the non-null values, in record order."""
+    buckets = [[] for _ in range(grid.n_bars)]
+    for record, value in zip(session.records, values):
+        if value is None:
+            continue
+        if not include_nonperformance and record.chorus_id in (0, 999):
+            continue
+        beat = oracle_beat(record.backing_track_position + offset_ms, grid)
+        if beat is not None:
+            buckets[beat // 4].append(float(value))
+    return buckets
+
+
+def oracle_bar_stat(bucket, stat: str) -> float | None:
+    """One statistic of one bar: numpy's reduction over the bar's values."""
+    if not bucket:
+        return None
+    arr = np.array(bucket)
+    if stat == "std":
+        return 0.0 if len(bucket) == 1 else float(np.std(arr, ddof=1))
+    return float(getattr(np, stat)(arr))
+
+
+def oracle_mode(ids) -> int | None:
+    """Most frequent id, ties to the smaller id; None for no ids."""
+    if not ids:
+        return None
+    return min(set(ids), key=lambda c: (-ids.count(c), c))

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from helpers import performance_session
+import musicking_lab
 from musicking_lab.cli import (
     RunConfig,
     cmd_analyze,
@@ -14,8 +18,9 @@ from musicking_lab.cli import (
     main,
     parse_k_range,
     resolve_config,
+    write_json,
 )
-from musicking_lab.errors import TooFewSessions, UnknownSession
+from musicking_lab.errors import NonFinite, TooFewSessions, UnknownSession
 from musicking_lab.ingest import serialize_session
 
 ANALYZE_SECTIONS = {
@@ -286,3 +291,43 @@ class TestCmdCluster:
                      "--column", "eda", "--seed", "0"]) == 0
         assert main(["cluster", "--dataset", str(tmp_path / "data"),
                      "--out", str(tmp_path / "out"), "--session", "missing"]) == 1
+
+
+def write_huge_eda_corpus(directory: Path) -> None:
+    """Two sessions of unequal length whose integer EDA is near the double maximum."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for sid, n in (("a", 40), ("b", 42)):
+        rows = [{"session_id": sid, "backing_track_position": i * 130.0,
+                 "sync_chorus_id": 1, "flow": 3,
+                 "hardware_bitalino_eda": 10**300 * (1 + i % 5)} for i in range(n)]
+        (directory / f"{sid}.json").write_text(json.dumps(rows))
+
+
+class TestFiniteButHugeValues:
+    @pytest.mark.parametrize("command, message", [
+        (["compare"], "ANOVA overflows double precision"),
+        (["analyze", "--session", "a"], "analysis.json: Out of range float values"),
+    ])
+    def test_exit_one_with_one_line(self, tmp_path, command, message):
+        # A real process, so numpy warnings reach stderr as they would for a user.
+        write_huge_eda_corpus(tmp_path / "data")
+        env = dict(os.environ, PYTHONPATH=str(Path(musicking_lab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "musicking_lab.cli", *command,
+             "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR") and message in lines[0]
+
+    def test_via_main(self, tmp_path):
+        write_huge_eda_corpus(tmp_path / "data")
+        argv = ["--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
+        assert main(["compare", *argv]) == 1
+        assert main(["analyze", *argv, "--session", "b"]) == 1
+
+    def test_write_json_names_the_file(self, tmp_path):
+        with pytest.raises(NonFinite, match="bad.json"):
+            write_json(tmp_path / "bad.json", {"x": float("inf")})
+        assert not (tmp_path / "bad.json").exists()

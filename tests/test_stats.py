@@ -6,7 +6,7 @@ import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import oracle_anova_f
-from musicking_lab.errors import DegenerateVariance, TooFewGroups
+from musicking_lab.errors import DegenerateVariance, NonFinite, TooFewGroups
 from musicking_lab.stats import anova_oneway, f_survival, regularized_incomplete_beta
 
 
@@ -110,6 +110,13 @@ class TestAnovaOneway:
     def test_degenerate_variance(self):
         with pytest.raises(DegenerateVariance):
             anova_oneway([[1, 1], [2, 2]])
+
+    @pytest.mark.parametrize("sizes", [(40, 42), (40, 40)])
+    def test_overflowing_sums_of_squares(self, sizes):
+        # F is NaN (inf / inf) for unequal groups and a spurious 0 for equal ones.
+        groups = [[10**300 * (1 + i % 5) for i in range(n)] for n in sizes]
+        with np.errstate(over="ignore"), pytest.raises(NonFinite):
+            anova_oneway(groups)
 
     def test_unbalanced_sizes(self):
         groups = [[1.0, 2.0, 3.0], [4.0, 5.0], [7.0, 8.0, 9.0, 10.0]]

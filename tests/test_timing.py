@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import performance_session, session_of
+from helpers import (
+    oracle_bar_buckets,
+    oracle_bar_stat,
+    oracle_beat,
+    oracle_mode,
+    performance_session,
+    session_of,
+)
+from musicking_lab.cluster import bar_features
 from musicking_lab.errors import (
     MissingChorusIds,
     OutOfTrack,
@@ -10,8 +18,10 @@ from musicking_lab.errors import (
     TooFewRecords,
     UnknownColumn,
 )
+from musicking_lab.ingest import load_bundled_beat_grid
 from musicking_lab.model import BeatGrid
 from musicking_lab.timing import (
+    PER_BAR_STATS,
     aggregate_per_bar,
     align_session,
     assign_musical_position,
@@ -293,3 +303,93 @@ class TestAlignAndChorusJoin:
         assert chorus_of_bar[0] == 1
         assert chorus_of_bar[16] == 2
         assert chorus_of_bar[79] == 5
+
+    def test_per_bar_chorus_tie_goes_to_smaller_id(self, grid):
+        s = session_of([1000.0, 1100.0, 1200.0, 1300.0, 5000.0, 5100.0],
+                       chorus=[2, 1, 2, 1, 999, 0])
+        assert per_bar_chorus(s, grid)[:2] == [1, None]
+        assert per_bar_chorus(s, grid, include_nonperformance=True)[:2] == [1, 0]
+
+
+BUNDLED_GRID = load_bundled_beat_grid()
+
+
+@st.composite
+def oracle_cases(draw):
+    """A grid (bundled, or a small regular one whose first beat may be
+    after 0 s) and an unsorted session around it: positions before the
+    first beat, exactly on beats and past the track end, an offset, null
+    values and chorus ids of None, 0 and 999."""
+    if draw(st.booleans()):
+        grid = BUNDLED_GRID
+    else:
+        first = draw(st.sampled_from([0.0, 0.25, 1.5]))
+        spacing = draw(st.sampled_from([0.5, 0.7, 1.0]))
+        beats = tuple(first + i * spacing for i in range(draw(st.integers(1, 14))))
+        grid = BeatGrid(beat_times=beats, bar_times=beats[0::4], tempo_bpm=60.0 / spacing,
+                        duration_s=beats[-1] + spacing, audio_sample_rate_hz=22050)
+    end_ms = grid.duration_s * 1000.0
+    position = st.one_of(
+        st.floats(-500.0, end_ms + 500.0),
+        st.sampled_from([t * 1000.0 for t in grid.beat_times[:40]] + [0.0, end_ms]))
+    n = draw(st.integers(0, 60))
+    positions = draw(st.lists(position, min_size=n, max_size=n))
+    values = draw(st.lists(st.one_of(st.none(), st.floats(-1e6, 1e6)), min_size=n, max_size=n))
+    chorus = draw(st.lists(st.sampled_from([None, 0, 1, 2, 999]), min_size=n, max_size=n))
+    offset_ms = draw(st.sampled_from([0.0, 0.0, 130.5, -250.0]))
+    return grid, session_of(positions, eda=values, chorus=chorus), offset_ms
+
+
+class TestAlignmentOracle:
+    """Exact agreement with a linear scan over the beats, record by record."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=oracle_cases(), include=st.booleans())
+    def test_aggregate_per_bar(self, case, include):
+        grid, s, offset_ms = case
+        eda = [r.eda for r in s.records]
+        buckets = oracle_bar_buckets(s, grid, eda, include, offset_ms)
+        for stat in PER_BAR_STATS:
+            out = aggregate_per_bar(s, grid, "eda", stat=stat,
+                                    include_nonperformance=include, offset_ms=offset_ms)
+            assert out == [oracle_bar_stat(b, stat) for b in buckets]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=oracle_cases(), include=st.booleans())
+    def test_per_bar_chorus(self, case, include):
+        grid, s, offset_ms = case
+        ids = [r.chorus_id for r in s.records]
+        buckets = oracle_bar_buckets(s, grid, ids, include, offset_ms)
+        expected = [oracle_mode([int(c) for c in b]) for b in buckets]
+        assert per_bar_chorus(s, grid, include_nonperformance=include,
+                              offset_ms=offset_ms) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=oracle_cases())
+    def test_align_session(self, case):
+        grid, s, offset_ms = case
+        rows = align_session(s, grid, offset_ms=offset_ms)
+        expected = []
+        for i, r in enumerate(s.records):
+            t_ms = r.backing_track_position + offset_ms
+            beat = oracle_beat(t_ms, grid)
+            expected.append((i, t_ms, r.chorus_id, None if beat is None else beat // 4,
+                             None if beat is None else beat % 4))
+        assert [(a.record_index, a.t_ms, a.chorus_id, a.bar_index, a.beat_in_bar)
+                for a in rows] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=oracle_cases(), include=st.booleans(),
+           chorus=st.sampled_from([None, 0, 1, 2, 999]))
+    def test_bar_features(self, case, include, chorus):
+        grid, s, offset_ms = case
+        eda = [r.eda if chorus is None or r.chorus_id == chorus else None for r in s.records]
+        buckets = oracle_bar_buckets(s, grid, eda, include, offset_ms)
+        kept = [b for b, bucket in enumerate(buckets) if bucket]
+        m = bar_features(s, grid, "eda", include_nonperformance=include, chorus=chorus,
+                         standardize=False, offset_ms=offset_ms)
+        assert m.bar_index == tuple(kept)
+        assert m.dropped == tuple(b for b in range(grid.n_bars) if not buckets[b])
+        expected = [[oracle_bar_stat(buckets[b], stat) for stat in m.feature_names]
+                    for b in kept]
+        assert m.rows.tolist() == expected
