@@ -20,11 +20,12 @@ from ._series import as_array, nonnull
 from .errors import (
     DegenerateSeries,
     EmptySeries,
+    NonFinite,
     NoValidPoints,
     TooFewPairs,
     UnknownPart,
 )
-from .model import SENTINEL, SKELETON_PARTS, Session
+from .model import SENTINEL, SKELETON_PARTS, Session, _column
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,9 @@ def histogram(values: Sequence[float | None], bins: int) -> list[tuple[float, fl
 
     Raises:
         EmptySeries: No non-null value.
+        NonFinite: An infinite value.
+        DegenerateSeries: The range is too narrow at its magnitude for
+            ``bins`` distinct edges (values a few ulps apart).
         ValueError: bins < 1.
     """
     if bins < 1:
@@ -97,7 +101,12 @@ def histogram(values: Sequence[float | None], bins: int) -> list[tuple[float, fl
     clean = nonnull(as_array(values))
     if clean.size == 0:
         raise EmptySeries("histogram needs at least one non-null value")
-    counts, edges = np.histogram(clean, bins=bins)
+    if not np.isfinite(clean).all():
+        raise NonFinite("histogram of an infinite value")
+    try:
+        counts, edges = np.histogram(clean, bins=bins)
+    except ValueError as exc:  # numpy: "Too many bins for data range"
+        raise DegenerateSeries(f"histogram: {exc}") from None
     return [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(bins)]
 
 
@@ -355,19 +364,19 @@ def mean_trajectory(session: Session, parts: Sequence[str],
     for part in parts:
         if part not in SKELETON_PARTS:
             raise UnknownPart(f"unknown body part: {part!r}")
-    mean_x: list[float | None] = []
-    mean_y: list[float | None] = []
-    for record in session.records:
-        xs, ys = [], []
+    # Summed part by part from 0.0 in the order given, as sum(xs) / len(xs)
+    # adds them; a reduction over the parts could round differently.
+    sum_x, sum_y, count = np.zeros((3, len(session)))
+    with np.errstate(over="ignore", invalid="ignore"):
         for part in parts:
-            kp = record.keypoints.get(part)
-            if kp is None or kp.is_sentinel():
-                continue
-            xs.append(kp.x)
-            ys.append(kp.y)
-        mean_x.append(sum(xs) / len(xs) if xs else None)
-        mean_y.append(sum(ys) / len(ys) if ys else None)
-    return mean_x, mean_y
+            x, y = _column(session, f"{part}_x"), _column(session, f"{part}_y")
+            valid = ~np.isnan(x) & ~((x == SENTINEL) & (y == SENTINEL))
+            sum_x += np.where(valid, x, 0.0)
+            sum_y += np.where(valid, y, 0.0)
+            count += valid
+        none = (count == 0).tolist()
+        return ([None if skip else m for m, skip in zip((sum_x / count).tolist(), none)],
+                [None if skip else m for m, skip in zip((sum_y / count).tolist(), none)])
 
 
 def occupancy_grid(xs: Sequence[float | None], ys: Sequence[float | None],

@@ -40,7 +40,7 @@ from .errors import (
     UnknownSession,
 )
 from .ingest import DatasetWalk, find_session, load_bundled_beat_grid, parse_beat_grid
-from .model import SKELETON_PARTS, BeatGrid, EEG_CHANNELS, Session, column_values
+from .model import SKELETON_PARTS, BeatGrid, EEG_CHANNELS, Session, _column, column_values
 
 log = logging.getLogger("musicking_lab")
 
@@ -201,11 +201,12 @@ def _find_session(config: RunConfig, session_id: str) -> Session:
     return session
 
 
-def _performance_values(session: Session, column: str, exclude_nonperformance: bool) -> list:
-    values = column_values(session, column)
+def _performance_values(session: Session, column: str,
+                        exclude_nonperformance: bool) -> np.ndarray:
+    values = _column(session, column)
     if not exclude_nonperformance:
         return values
-    return [v for v, r in zip(values, session.records) if r.chorus_id not in (0, 999)]
+    return values[~np.isin(_column(session, "chorus_id"), (0, 999))]
 
 
 # -- validate ----------------------------------------------------------------
@@ -333,7 +334,7 @@ def cmd_analyze(config: RunConfig, session_id: str) -> int:
 
     bundle = {
         "session_id": session.session_id,
-        "record_count": len(session.records),
+        "record_count": len(session),
         "config": config.as_dict(),
         "sections": {
             "sampling_profile": sampling,
@@ -402,12 +403,12 @@ def _overlay(session: Session) -> list[dict]:
         segments = timing.segment_choruses(session)
     except MissingChorusIds:
         segments = []
+    t_ms = _column(session, "backing_track_position").tolist()
     eda = column_values(session, "eda")
     flow = column_values(session, "flow")
     return [{
         "chorus_id": seg.chorus_id,
-        "t_ms": [rec.backing_track_position
-                 for rec in session.records[seg.start_index:seg.end_index + 1]],
+        "t_ms": t_ms[seg.start_index:seg.end_index + 1],
         "eda": eda[seg.start_index:seg.end_index + 1],
         "flow": flow[seg.start_index:seg.end_index + 1],
     } for seg in segments if seg.performance]
@@ -586,8 +587,9 @@ def main(argv: list[str] | None = None) -> int:
         log.error("%s", exc)
         return 1
     try:
-        # Overflows are reported where their results are refused, not as warnings.
-        with np.errstate(over="ignore"):
+        # Overflows, and the NaNs they lead to, are reported where their
+        # results are refused, not as warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "validate":
                 return cmd_validate(config)
             if args.command == "analyze":

@@ -14,9 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._series import as_array
 from .errors import InvalidK, InvalidRange, NonFinite, TooFewRows
-from .model import BarFeatureMatrix, BeatGrid, Session, column_values
+from .model import BarFeatureMatrix, BeatGrid, Session, _column
 from .timing import PER_BAR_STATS, _bar_groups, _bar_stat
 
 DEFAULT_BAR_FEATURES = ("mean", "std", "min", "max")
@@ -77,9 +76,9 @@ def bar_features(session: Session, grid: BeatGrid, column: str,
     for stat in features:
         if stat not in PER_BAR_STATS:
             raise ValueError(f"feature must be one of {PER_BAR_STATS}, got {stat!r}")
-    values = as_array(column_values(session, column))
+    values = _column(session, column).copy()
     if chorus is not None:
-        values[as_array(column_values(session, "chorus_id")) != chorus] = np.nan
+        values[_column(session, "chorus_id") != chorus] = np.nan
     groups = _bar_groups(session, grid, values, include_nonperformance, offset_ms)
     kept = [b for b, bucket in enumerate(groups) if bucket.size]
     dropped = [b for b, bucket in enumerate(groups) if not bucket.size]

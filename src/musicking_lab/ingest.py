@@ -6,11 +6,14 @@ is a JSON object with ``tempo_bpm``, ``duration_s``, ``audio_sample_rate_hz``
 and the ``beats_s`` / ``bars_s`` onset arrays; the grid for the shared
 backing track ships with the package.
 
-Ingest enforces the input contract: every number is finite (``NaN`` and
-``Infinity`` literals are rejected, as are literals that overflow a
-double) and the master clock ``backing_track_position`` is present and
-strictly increasing.  A file that breaks it raises ``MalformedDocument``
-or ``SchemaError`` and never reaches analysis.
+A file is decoded once and parsed by column: each field becomes one
+float array of the ``Session`` in a single pass over the rows, with no
+per-record objects.  Ingest enforces the input contract with array checks:
+every number is finite (``NaN`` and ``Infinity`` literals are rejected, as
+are literals that overflow a double) and the master clock
+``backing_track_position`` is present and strictly increasing.  A file
+that breaks it raises ``MalformedDocument`` or ``SchemaError`` naming the
+first failing row, and never reaches analysis.
 """
 
 from __future__ import annotations
@@ -18,30 +21,39 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from math import isfinite
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from .errors import MalformedDocument, MusickingError, SchemaError
 from .model import (
+    _ABSENT,
     SKELETON_AXES,
     SKELETON_PARTS,
     BeatGrid,
     EEG_CHANNELS,
-    Keypoint,
-    Record,
     Session,
+    _float_column,
+    _is_number,
+    _skeleton_block,
 )
 
 SESSION_FILE_SUFFIX = ".json"
 
-_INT_FIELDS = {
+# Scalar keys in check order, each with its Session column.
+_SCALAR_KEYS = {
+    "backing_track_position": "backing_track_position",
+    "sync_delta": "sync_delta",
     "sync_chorus_id": "chorus_id",
     "flow": "flow",
     "hardware_bitalino_eda": "eda",
 }
 for _ch in EEG_CHANNELS:
-    _INT_FIELDS[f"hardware_brainbit_eeg_{_ch}"] = f"eeg_{_ch}"
+    _SCALAR_KEYS[f"hardware_brainbit_eeg_{_ch}"] = f"eeg_{_ch}"
+_INT_KEYS = tuple(_SCALAR_KEYS)[2:]
 
 # Per skeleton part: its name, its error label and its (x, y, confidence)
 # keys, formatted once here rather than for every record.
@@ -50,11 +62,9 @@ _KEYPOINT_KEYS = tuple(
      tuple(f"hardware_skeleton_{part}_{axis}" for axis in SKELETON_AXES))
     for part in SKELETON_PARTS)
 
-_RECOGNIZED_KEYS = (
-    {"session_id", "sync_delta", "backing_track_position"}
-    | set(_INT_FIELDS)
-    | {key for _, _, keys in _KEYPOINT_KEYS for key in keys}
-)
+_SKELETON_KEYS = tuple(key for _, _, keys in _KEYPOINT_KEYS for key in keys)
+_COLUMN_KEYS = (*_SCALAR_KEYS, *_SKELETON_KEYS)
+_RECOGNIZED_KEYS = frozenset({"session_id", *_COLUMN_KEYS})
 
 
 def _require_number(value, key: str, row: int) -> float:
@@ -69,57 +79,33 @@ def _require_number(value, key: str, row: int) -> float:
     return number
 
 
-def _opt_int(value, key: str, row: int) -> int | None:
-    if value is None:
-        return None
-    number = _require_number(value, key, row)
-    if not number.is_integer():
-        raise SchemaError(f"{key} must be an integer, got {value!r}", row=row)
-    return int(number)
-
-
-def _opt_float(value, key: str, row: int) -> float | None:
-    if value is None:
-        return None
-    return _require_number(value, key, row)
-
-
-def _parse_keypoints(obj: dict, row: int) -> dict[str, Keypoint]:
-    keypoints = {}
+def _check_row(obj, row: int) -> None:
+    """Raise the first contract error of one row, in the order the checks
+    are documented; return if the row keeps the contract."""
+    if not isinstance(obj, dict):
+        raise MalformedDocument(f"row {row}: record is not an object")
+    if obj.get("backing_track_position") is None:
+        raise SchemaError("required field backing_track_position missing", row=row)
+    for key in _SCALAR_KEYS:
+        value = obj.get(key)
+        if value is not None:
+            number = _require_number(value, key, row)
+            if key in _INT_KEYS and not number.is_integer():
+                raise SchemaError(f"{key} must be an integer, got {value!r}", row=row)
     for part, label, keys in _KEYPOINT_KEYS:
         values = [obj.get(key) for key in keys]
         if all(v is None for v in values):
             continue
         if any(v is None for v in values):
             raise SchemaError(f"incomplete keypoint for {part}", row=row)
-        x, y, conf = (_require_number(v, label, row) for v in values)
-        keypoints[part] = Keypoint(x=x, y=y, confidence=conf)
-    return keypoints
-
-
-def _parse_record(obj: dict, row: int) -> Record:
-    if not isinstance(obj, dict):
-        raise MalformedDocument(f"row {row}: record is not an object")
-    if obj.get("backing_track_position") is None:
-        raise SchemaError("required field backing_track_position missing", row=row)
-
-    fields: dict = {
-        "backing_track_position": _require_number(
-            obj["backing_track_position"], "backing_track_position", row),
-        "sync_delta": _opt_float(obj.get("sync_delta"), "sync_delta", row),
-    }
-    for key, attr in _INT_FIELDS.items():
-        fields[attr] = _opt_int(obj.get(key), key, row)
-    fields["keypoints"] = _parse_keypoints(obj, row)
-    fields["extras"] = extras = {k: v for k, v in obj.items() if k not in _RECOGNIZED_KEYS}
-    for key, value in extras.items():
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+        for value in values:
+            _require_number(value, label, row)
+    for key, value in obj.items():
+        if key not in _RECOGNIZED_KEYS and _is_number(value):
             _require_number(value, key, row)
-
     session_id = obj.get("session_id")
     if session_id is not None and not isinstance(session_id, str):
         raise SchemaError(f"session_id is not a string: {session_id!r}", row=row)
-    return Record(**fields)
 
 
 def _reject_constant(literal: str):
@@ -151,10 +137,12 @@ def _session_id(rows: list, fallback_session_id: str) -> str:
 def parse_session_file(data: bytes | str, fallback_session_id: str = "") -> Session:
     """Parse a session document into a Session, preserving record order.
 
-    Unknown columns are kept verbatim per record in ``Record.extras``; absent
-    values become ``None``.  The session id is taken from the records'
-    ``session_id`` column when present, otherwise from
-    ``fallback_session_id`` (callers typically pass the file stem).
+    The document is decoded once and each column is built in one pass over
+    the rows, then checked with array operations.  Unknown columns are kept
+    verbatim per record as extras; absent values become null.  The session
+    id is taken from the records' ``session_id`` column when present,
+    otherwise from ``fallback_session_id`` (callers typically pass the file
+    stem).
 
     Raises:
         MalformedDocument: Not JSON, a ``NaN``/``Infinity`` literal, or not
@@ -164,17 +152,42 @@ def parse_session_file(data: bytes | str, fallback_session_id: str = "") -> Sess
             0-based row index of the first failure.
     """
     rows = _decode_rows(data)
-    records = []
-    previous = None
-    for i, obj in enumerate(rows):
-        record = _parse_record(obj, i)
-        position = record.backing_track_position
-        if previous is not None and not position > previous:
-            raise SchemaError(f"backing_track_position {position!r} not strictly increasing "
-                              f"(previous {previous!r})", row=i)
-        previous = position
-        records.append(record)
-    return Session(session_id=_session_id(rows, fallback_session_id), records=tuple(records))
+    n = next((i for i, obj in enumerate(rows) if not isinstance(obj, dict)), len(rows))
+    body = rows[:n]  # the rows before the first one that is not an object
+    bad = np.zeros(n, dtype=bool)
+    values = {}
+    for key in _COLUMN_KEYS:
+        values[key], wrong = _float_column([obj.get(key) for obj in body])
+        bad[wrong] = True
+        bad |= np.isinf(values[key])
+    position = values["backing_track_position"]
+    bad |= np.isnan(position)
+    for key in _INT_KEYS:
+        bad |= np.isfinite(values[key]) & (values[key] != np.floor(values[key]))
+    skeleton = _skeleton_block([values[key] for key in _SKELETON_KEYS])
+    nulls = np.isnan(skeleton).sum(axis=2)
+    bad |= ((nulls > 0) & (nulls < len(SKELETON_AXES))).any(axis=1)
+    extras = {}
+    if set().union(*body) - _RECOGNIZED_KEYS:
+        for key in dict.fromkeys(chain.from_iterable(body)):
+            if key not in _RECOGNIZED_KEYS:
+                extras[key] = [obj.get(key, _ABSENT) for obj in body]
+                numbers, _ = _float_column([v if _is_number(v) else None for v in extras[key]])
+                bad |= np.isinf(numbers)
+    ids = [obj.get("session_id") for obj in body]
+    bad[[i for i, v in enumerate(ids) if v is not None and not isinstance(v, str)]] = True
+    clock = np.zeros(n, dtype=bool)
+    clock[1:] = ~(position[1:] > position[:-1])
+    failed = bad | clock
+    if failed.any() or n < len(rows):
+        # The first failing row; its own checks come before the clock's.
+        row = int(failed.argmax()) if failed.any() else n
+        _check_row(rows[row], row)
+        raise SchemaError(f"backing_track_position {float(position[row])!r} not strictly "
+                          f"increasing (previous {float(position[row - 1])!r})", row=row)
+    columns = {attr: values[key] for key, attr in _SCALAR_KEYS.items()}
+    return Session._from_columns(_session_id(rows, fallback_session_id), columns, skeleton,
+                                 extras)
 
 
 def serialize_session(session: Session) -> str:
@@ -296,8 +309,7 @@ class DatasetWalk:
                 self._skipped.append((str(path), f"duplicate session_id {session.session_id!r}"))
                 continue
             seen.add(session.session_id)
-            self._entries.append(ManifestEntry(session.session_id, str(path),
-                                               len(session.records)))
+            self._entries.append(ManifestEntry(session.session_id, str(path), len(session)))
             yield session
 
     def manifest(self) -> DatasetManifest:

@@ -7,6 +7,18 @@ physiological channels (skin conductance, four EEG electrodes), a
 self-reported flow score, and a 2-D skeleton with a per-part detector
 confidence.  All types are frozen value objects.
 
+A ``Session`` stores its records as columns, after the Apache Arrow
+columnar layout: one read-only float64 array per scalar field with NaN for
+null, an ``(n, 12, 3)`` skeleton block (part x (x, y, confidence)) with NaN
+where a part is absent, and the extras per key.  ``Session.records`` is a
+view of ``Record`` objects built from the columns on first use.  A session
+built in code from records must hold numbers or ``None`` in every canonical
+field and name only known skeleton parts; anything else raises
+``InvariantError`` naming the record.  A number is an ``int`` or a
+``float`` other than NaN (a null is ``None``), as ``validate_record``
+counts them: a numpy float64 is a float, a numpy integer is not.
+Sessions pickle and copy by their columns.
+
 Validation is data, not control flow: ``validate_record`` and
 ``validate_session`` return lists of human-readable violation strings and
 never raise.
@@ -14,8 +26,9 @@ never raise.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -90,15 +103,189 @@ class Record:
     extras: Mapping[str, object] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Session:
-    """Ordered records for one musician, keyed by an opaque session id."""
+# Scalar Record fields in column order; the integer ones read back as int.
+_SCALAR_FIELDS: tuple[str, ...] = ("backing_track_position", "sync_delta", "chorus_id", "flow",
+                                   "eda", *(f"eeg_{ch}" for ch in EEG_CHANNELS))
+_INTEGER_FIELDS = frozenset(_SCALAR_FIELDS[2:])
 
-    session_id: str
-    records: tuple[Record, ...]
+
+class _Absent:
+    """Marks the records of an extras column that do not have the key; it
+    pickles and copies as the one module-level instance."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return "_ABSENT"
+
+    def __repr__(self) -> str:
+        return "_ABSENT"
+
+
+_ABSENT = _Absent()
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _float_column(values: list) -> tuple[np.ndarray, list[int]]:
+    """Numbers or None as a float array (None -> NaN, too large -> +-inf),
+    plus the indices of the other values, which read 0.0."""
+    wrong: list[int] = []
+    if not set(map(type, values)) <= {int, float, type(None)}:
+        wrong = [i for i, v in enumerate(values) if v is not None and not _is_number(v)]
+        values = list(values)
+        for i in wrong:
+            values[i] = 0.0
+    try:
+        return np.array(values, dtype=float), wrong
+    except OverflowError:  # an integer beyond the range of a double
+        return np.array([v if v is None else _to_float(v) for v in values], dtype=float), wrong
+
+
+def _to_float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _skeleton_block(axes: list[np.ndarray]) -> np.ndarray:
+    """The (record, part, axis) block from part-major per-axis columns."""
+    return np.stack(axes, axis=1).reshape(len(axes[0]), len(SKELETON_PARTS), len(SKELETON_AXES))
+
+
+def _as_list(arr: np.ndarray, integer: bool) -> list:
+    """A column as Python values: None for NaN, int for an integral value
+    of an integer field."""
+    if integer:
+        return [None if v != v else int(v) if v.is_integer() else v for v in arr.tolist()]
+    return [None if v != v else v for v in arr.tolist()]
+
+
+class Session:
+    """Ordered records for one musician, keyed by an opaque session id.
+
+    Stored as columns (see the module docstring); ``records`` is a view
+    whose length comes from the columns and whose ``Record`` items are
+    built on first use, then kept.  Two sessions are equal when their ids,
+    columns (NaN equal to NaN) and extras are.
+
+    Raises:
+        InvariantError: A canonical value of a record is not a number
+            (NaN is not one) or None, or a keypoint names an unknown
+            skeleton part.
+    """
+
+    __slots__ = ("session_id", "records", "_columns", "_skeleton", "_extras")
+
+    def __init__(self, session_id: str, records: Sequence[Record]):
+        n = len(records)
+        points: dict[str, list] = {part: [None] * n for part in SKELETON_PARTS}
+        extras: dict[str, list] = {}
+        for i, record in enumerate(records):
+            for part, point in record.keypoints.items():
+                if part not in points:
+                    raise InvariantError(f"record {i}: {part}: unknown body part")
+                points[part][i] = point
+            for key, value in record.extras.items():
+                extras.setdefault(key, [_ABSENT] * n)[i] = value
+        raw = {name: [getattr(r, name) for r in records] for name in _SCALAR_FIELDS}
+        for part, column in points.items():
+            for axis in SKELETON_AXES:
+                raw[f"{part}: {axis}"] = [None if p is None else getattr(p, axis) for p in column]
+        arrays = []
+        for label, values in raw.items():
+            array, wrong = _float_column(values)
+            # A NaN would read back as null, which is None here.
+            wrong = wrong or [i for i in np.flatnonzero(np.isnan(array)).tolist()
+                              if values[i] is not None]
+            if wrong:
+                raise InvariantError(f"record {wrong[0]}: {label} is not a number: "
+                                     f"{values[wrong[0]]!r}")
+            arrays.append(array)
+        self._init(session_id, dict(zip(_SCALAR_FIELDS, arrays)),
+                   _skeleton_block(arrays[len(_SCALAR_FIELDS):]), extras)
+
+    @classmethod
+    def _from_columns(cls, session_id: str, columns: dict[str, np.ndarray],
+                      skeleton: np.ndarray, extras: dict[str, list]) -> Session:
+        """A session from its columns, as ingest builds it (no checks)."""
+        session = cls.__new__(cls)
+        session._init(session_id, columns, skeleton, extras)
+        return session
+
+    def _init(self, session_id, columns, skeleton, extras) -> None:
+        for array in (*columns.values(), skeleton):
+            array.flags.writeable = False
+        for name, value in (("session_id", session_id), ("records", _RecordView(self)),
+                            ("_columns", columns), ("_skeleton", skeleton),
+                            ("_extras", {key: tuple(v) for key, v in extras.items()})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Session is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return Session._from_columns, (self.session_id, self._columns, self._skeleton,
+                                       self._extras)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._skeleton.shape[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Session):
+            return NotImplemented
+        return (self.session_id == other.session_id and self._extras == other._extras
+                and np.array_equal(self._skeleton, other._skeleton, equal_nan=True)
+                and all(np.array_equal(self._columns[name], other._columns[name], equal_nan=True)
+                        for name in _SCALAR_FIELDS))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Session(session_id={self.session_id!r}, records=<{len(self)} records>)"
+
+    def _build_records(self) -> tuple[Record, ...]:
+        scalars = [_as_list(self._columns[name], name in _INTEGER_FIELDS)
+                   for name in _SCALAR_FIELDS]
+        present = (~np.isnan(self._skeleton).all(axis=2)).tolist()
+        skeleton = self._skeleton.tolist()
+        records = []
+        for i, values in enumerate(zip(*scalars)):
+            keypoints = {part: Keypoint(*skeleton[i][p])
+                         for p, part in enumerate(SKELETON_PARTS) if present[i][p]}
+            extras = {key: v[i] for key, v in self._extras.items() if v[i] is not _ABSENT}
+            records.append(Record(*values, keypoints=keypoints, extras=extras))
+        return tuple(records)
+
+
+class _RecordView(Sequence):
+    """``Session.records``: the length is read from the columns; the items
+    are built from them on first use and kept."""
+
+    __slots__ = ("_session", "_items")
+
+    def __init__(self, session: Session):
+        self._session = session
+        self._items = None
+
+    def __len__(self) -> int:
+        return len(self._session)
+
+    def __getitem__(self, index):
+        if self._items is None:
+            self._items = self._session._build_records()
+        return self._items[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _RecordView)):
+            return NotImplemented
+        return self[:] == other[:]
+
+    def __repr__(self) -> str:
+        return repr(self[:])
 
 
 @dataclass(frozen=True)
@@ -219,11 +406,12 @@ for _ch in EEG_CHANNELS:
     _SCALAR_COLUMNS[f"hardware_brainbit_eeg_{_ch}"] = f"eeg_{_ch}"
     _SCALAR_COLUMNS[f"eeg_{_ch}"] = f"eeg_{_ch}"
 
-_SKELETON_COLUMNS: dict[str, tuple[str, str]] = {}
-for _part in SKELETON_PARTS:
-    for _axis in SKELETON_AXES:
-        _SKELETON_COLUMNS[f"hardware_skeleton_{_part}_{_axis}"] = (_part, _axis)
-        _SKELETON_COLUMNS[f"{_part}_{_axis}"] = (_part, _axis)
+# Skeleton column name -> (part, axis) index into the skeleton block.
+_SKELETON_INDEX: dict[str, tuple[int, int]] = {}
+for _p, _part in enumerate(SKELETON_PARTS):
+    for _a, _axis in enumerate(SKELETON_AXES):
+        _SKELETON_INDEX[f"hardware_skeleton_{_part}_{_axis}"] = (_p, _a)
+        _SKELETON_INDEX[f"{_part}_{_axis}"] = (_p, _a)
 
 
 def canonical_columns() -> tuple[str, ...]:
@@ -242,35 +430,43 @@ def skeleton_columns() -> tuple[str, ...]:
                  for part in SKELETON_PARTS for axis in SKELETON_AXES)
 
 
-def _keypoint_value(record: Record, part: str, axis: str) -> float | None:
-    kp = record.keypoints.get(part)
-    if kp is None:
-        return None
-    return getattr(kp, axis)
+def _column(session: Session, name: str) -> np.ndarray:
+    """One column as a read-only float array, NaN for null; resolves like
+    :func:`column_values`."""
+    attr = _SCALAR_COLUMNS.get(name)
+    if attr is not None:
+        return session._columns[attr]
+    part_axis = _SKELETON_INDEX.get(name)
+    if part_axis is not None:
+        return session._skeleton[:, part_axis[0], part_axis[1]]
+    array, _ = _float_column(_extras_values(session, name))
+    array.flags.writeable = False
+    return array
+
+
+def _extras_values(session: Session, name: str) -> list:
+    values = session._extras.get(name)
+    if values is None:
+        raise UnknownColumn(f"unknown column: {name!r}")
+    return [v if _is_number(v) else None for v in values]
 
 
 def column_values(session: Session, name: str) -> list[float | None]:
     """Extract one column as a list of numbers with ``None`` for missing.
 
     Accepts canonical names (``hardware_bitalino_eda``) or short aliases
-    (``eda``, ``l_wrist_x``).  Unknown names fall back to per-record
-    ``extras``; non-numeric extras become ``None``.
+    (``eda``, ``l_wrist_x``).  Integer fields (chorus id, flow, EDA, EEG)
+    give ``int`` for integral values.  Unknown names fall back to
+    per-record ``extras``, whose numbers come back as stored; non-numeric
+    extras become ``None``.
 
     Raises:
         UnknownColumn: If the name is neither canonical nor present in any
             record's extras.
     """
-    attr = _SCALAR_COLUMNS.get(name)
-    if attr is not None:
-        return [getattr(r, attr) for r in session.records]
-    part_axis = _SKELETON_COLUMNS.get(name)
-    if part_axis is not None:
-        part, axis = part_axis
-        return [_keypoint_value(r, part, axis) for r in session.records]
-    if any(name in r.extras for r in session.records):
-        return [v if isinstance(v, (int, float)) and not isinstance(v, bool) else None
-                for v in (r.extras.get(name) for r in session.records)]
-    raise UnknownColumn(f"unknown column: {name!r}")
+    if name in _SCALAR_COLUMNS or name in _SKELETON_INDEX:
+        return _as_list(_column(session, name), _SCALAR_COLUMNS.get(name) in _INTEGER_FIELDS)
+    return _extras_values(session, name)
 
 
 # -- validation ------------------------------------------------------------
@@ -316,17 +512,30 @@ def validate_record(record: Record) -> list[str]:
 
 
 def validate_session(session: Session) -> list[str]:
-    """Session-level invariants plus per-record violations with indices."""
+    """Session-level invariants plus per-record violations with indices.
+
+    Array masks find the records with a violation; only those are checked
+    by :func:`validate_record`, which words the messages.
+    """
+    if not len(session):
+        return ["records empty"]
+    columns = session._columns
+    position = columns["backing_track_position"]
+    clock = np.zeros(len(session), dtype=bool)
+    clock[1:] = ~(position[1:] > position[:-1])
+    chorus, flow = columns["chorus_id"], columns["flow"]
+    bad = ~np.isnan(chorus) & ~np.isin(chorus, list(CHORUS_IDS))
+    bad |= ~np.isnan(flow) & ((flow < 0) | ~np.isfinite(flow) | (flow != np.floor(flow)))
+    for name in ("eda", *(f"eeg_{ch}" for ch in EEG_CHANNELS)):
+        bad |= columns[name] < 0
+    x, y, confidence = np.moveaxis(session._skeleton, 2, 0)
+    part_bad = (~((confidence >= 0.0) & (confidence <= 1.0)) | (x < SENTINEL) | (y < SENTINEL)
+                | ((x == SENTINEL) != (y == SENTINEL)))
+    bad |= (part_bad & ~np.isnan(session._skeleton).all(axis=2)).any(axis=1)
     violations: list[str] = []
-    if not session.records:
-        violations.append("records empty")
-        return violations
-    prev = session.records[0].backing_track_position
-    for i, record in enumerate(session.records):
-        if i > 0:
-            if not record.backing_track_position > prev:
-                violations.append(f"position not strictly increasing at index {i}")
-            prev = record.backing_track_position
-        for v in validate_record(record):
-            violations.append(f"record {i}: {v}")
+    for i in np.flatnonzero(clock | bad).tolist():
+        if clock[i]:
+            violations.append(f"position not strictly increasing at index {i}")
+        if bad[i]:
+            violations.extend(f"record {i}: {v}" for v in validate_record(session.records[i]))
     return violations

@@ -22,6 +22,7 @@ from .model import (
     ColumnQuality,
     QualityReport,
     Session,
+    _column,
     canonical_columns,
     column_values,
 )
@@ -157,11 +158,11 @@ def sentinel_scan(session: Session,
         raise ValueError(f"confidence threshold {confidence_threshold} not in [0, 1]")
     scan: dict[str, SentinelCounts] = {}
     for part in SKELETON_PARTS:
-        confidences = as_array(column_values(session, f"{part}_confidence"))
+        confidences = _column(session, f"{part}_confidence")
         low = int((confidences < confidence_threshold).sum())
         for axis in SKELETON_AXES:
             own = axis == "confidence"
-            col = confidences if own else as_array(column_values(session, f"{part}_{axis}"))
+            col = confidences if own else _column(session, f"{part}_{axis}")
             scan[f"hardware_skeleton_{part}_{axis}"] = SentinelCounts(
                 minus_one_count=int((col == -1).sum()), zero_count=int((col == 0).sum()),
                 low_confidence_count=0 if own else low)
@@ -189,7 +190,7 @@ def integrity_report(session: Session,
     scan = sentinel_scan(session, confidence_threshold)
     columns: dict[str, ColumnQuality] = {}
     for name in canonical_columns():
-        values = as_array(column_values(session, name))
+        values = _column(session, name)
         outliers = 0
         if iqr_k is not None:
             try:
@@ -201,4 +202,4 @@ def integrity_report(session: Session,
             missing_count=int(np.isnan(values).sum()), outlier_count=outliers,
             **(asdict(sentinels) if sentinels is not None else {}))
     return QualityReport(session_id=session.session_id,
-                         record_count=len(session.records), columns=columns)
+                         record_count=len(session), columns=columns)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from ._series import as_array
 from .errors import MissingChorusIds, OutOfTrack, TooFewBeats, TooFewRecords
-from .model import PERFORMANCE_CHORUS_IDS, BeatGrid, Session, column_values
+from .model import PERFORMANCE_CHORUS_IDS, BeatGrid, Session, _column, column_values
 from .quality import OutlierEntry, iqr_outliers
 
 PER_BAR_STATS = ("mean", "sum", "std", "min", "max")
@@ -79,10 +78,9 @@ def infer_sampling_rate(session: Session, hist_bins: int = 20) -> SamplingProfil
     Raises:
         TooFewRecords: Fewer than 2 records, so no interval exists.
     """
-    if len(session.records) < 2:
+    if len(session) < 2:
         raise TooFewRecords("sampling rate needs >= 2 records")
-    positions = np.array([r.backing_track_position for r in session.records], dtype=float)
-    intervals = np.diff(positions)
+    intervals = np.diff(_column(session, "backing_track_position"))
     mean_ms = float(intervals.mean())
     rate = 1000.0 / mean_ms
     return SamplingProfile(
@@ -103,12 +101,11 @@ def delta_profile(session: Session, bins: int = 20,
         TooFewValues: Fewer than 4 non-null deltas (propagated from the
             IQR step).
     """
-    if len(session.records) < 2:
+    if len(session) < 2:
         raise TooFewRecords("delta profile needs >= 2 records")
-    deltas = column_values(session, "sync_delta")
-    present = [d for d in deltas if d is not None]
+    deltas = _column(session, "sync_delta")
     return DeltaProfile(
-        histogram=tuple(analytics.histogram(present, bins)),
+        histogram=tuple(analytics.histogram(deltas, bins)),
         outliers=iqr_outliers(deltas, k=iqr_k),
     )
 
@@ -122,23 +119,19 @@ def segment_choruses(session: Session) -> list[ChorusSegment]:
     Raises:
         MissingChorusIds: Some record has no chorus id; impute first.
     """
-    ids = [r.chorus_id for r in session.records]
-    if any(i is None for i in ids):
+    chorus = _column(session, "chorus_id")
+    if np.isnan(chorus).any():
         raise MissingChorusIds("chorus_id missing on some records")
-    segments: list[ChorusSegment] = []
-    start = 0
-    for i in range(1, len(ids) + 1):
-        if i == len(ids) or ids[i] != ids[start]:
-            segments.append(ChorusSegment(
-                chorus_id=ids[start],
-                start_index=start,
-                end_index=i - 1,
-                start_ms=session.records[start].backing_track_position,
-                end_ms=session.records[i - 1].backing_track_position,
-                performance=ids[start] in PERFORMANCE_CHORUS_IDS,
-            ))
-            start = i
-    return segments
+    change = np.ones(len(chorus), dtype=bool)
+    change[1:] = chorus[1:] != chorus[:-1]
+    starts = np.flatnonzero(change).tolist()
+    ends = [start - 1 for start in starts[1:]] + [len(chorus) - 1]
+    ids = column_values(session, "chorus_id")
+    positions = _column(session, "backing_track_position").tolist()
+    return [ChorusSegment(chorus_id=ids[start], start_index=start, end_index=end,
+                          start_ms=positions[start], end_ms=positions[end],
+                          performance=ids[start] in PERFORMANCE_CHORUS_IDS)
+            for start, end in zip(starts, ends)]
 
 
 def estimate_tempo(grid: BeatGrid) -> float:
@@ -201,11 +194,10 @@ def _bar_groups(session: Session, grid: BeatGrid, values: np.ndarray,
     chorus 0/999 records are dropped; each bar keeps its values in record
     order, whatever the order of the positions.
     """
-    _, beat, keep = _align([r.backing_track_position for r in session.records],
-                           grid, offset_ms)
+    _, beat, keep = _align(_column(session, "backing_track_position"), grid, offset_ms)
     keep &= ~np.isnan(values)
     if not include_nonperformance:
-        keep &= ~np.isin(as_array(column_values(session, "chorus_id")), (0, 999))
+        keep &= ~np.isin(_column(session, "chorus_id"), (0, 999))
     bars = beat[keep] // 4
     order = np.argsort(bars, kind="stable")
     bounds = np.cumsum(np.bincount(bars, minlength=grid.n_bars))[:-1]
@@ -229,7 +221,7 @@ def aggregate_per_bar(session: Session, grid: BeatGrid, column: str,
     """
     if stat not in PER_BAR_STATS:
         raise ValueError(f"stat must be one of {PER_BAR_STATS}, got {stat!r}")
-    values = as_array(column_values(session, column))
+    values = _column(session, column)
     groups = _bar_groups(session, grid, values, include_nonperformance, offset_ms)
     return [_bar_stat(bucket, stat) for bucket in groups]
 
@@ -251,7 +243,7 @@ def per_bar_chorus(session: Session, grid: BeatGrid,
     Bars without any eligible record yield None.  Used to join per-bar
     cluster assignments back onto the chorus structure.
     """
-    ids = as_array(column_values(session, "chorus_id"))
+    ids = _column(session, "chorus_id")
     out: list[int | None] = []
     for bucket in _bar_groups(session, grid, ids, include_nonperformance, offset_ms):
         unique, counts = np.unique(bucket, return_counts=True)
@@ -273,8 +265,8 @@ class AlignedRecord:
 def align_session(session: Session, grid: BeatGrid,
                   offset_ms: float = 0.0) -> list[AlignedRecord]:
     """Tabulate every record's grid position for export."""
-    t_ms, beat, on_track = _align([r.backing_track_position for r in session.records],
-                                  grid, offset_ms)
-    return [AlignedRecord(i, t, record.chorus_id, b // 4 if on else None, b % 4 if on else None)
-            for i, (record, t, b, on) in enumerate(zip(session.records, t_ms.tolist(),
+    t_ms, beat, on_track = _align(_column(session, "backing_track_position"), grid, offset_ms)
+    return [AlignedRecord(i, t, chorus, b // 4 if on else None, b % 4 if on else None)
+            for i, (t, chorus, b, on) in enumerate(zip(t_ms.tolist(),
+                                                       column_values(session, "chorus_id"),
                                                        beat.tolist(), on_track.tolist()))]

@@ -283,3 +283,133 @@ def oracle_mode(ids) -> int | None:
     if not ids:
         return None
     return min(set(ids), key=lambda c: (-ids.count(c), c))
+
+
+# -- per-record oracles of the columnar session core ------------------------
+#
+# These are the record-by-record implementations the columns replaced.
+# They read the Record objects a session was built from, never the session.
+
+_ORACLE_SCALARS = {"sync_delta": "sync_delta", "sync_chorus_id": "chorus_id",
+                   "chorus_id": "chorus_id", "backing_track_position": "backing_track_position",
+                   "flow": "flow", "hardware_bitalino_eda": "eda", "eda": "eda"}
+for _ch in ("t3", "t4", "o1", "o2"):
+    _ORACLE_SCALARS[f"hardware_brainbit_eeg_{_ch}"] = _ORACLE_SCALARS[f"eeg_{_ch}"] = f"eeg_{_ch}"
+
+
+def oracle_column_values(records, name: str) -> list:
+    """One column by a per-record getattr, as column_values read it."""
+    if name in _ORACLE_SCALARS:
+        return [getattr(r, _ORACLE_SCALARS[name]) for r in records]
+    short = name.removeprefix("hardware_skeleton_")
+    for axis in ("x", "y", "confidence"):
+        if short.endswith("_" + axis):
+            part = short[:-len(axis) - 1]
+            return [None if r.keypoints.get(part) is None else getattr(r.keypoints[part], axis)
+                    for r in records]
+    assert any(name in r.extras for r in records), name
+    return [v if isinstance(v, (int, float)) and not isinstance(v, bool) else None
+            for v in (r.extras.get(name) for r in records)]
+
+
+def oracle_validate_session(records) -> list[str]:
+    """The clock check and validate_record on every record, in record order."""
+    from musicking_lab.model import validate_record
+
+    if not records:
+        return ["records empty"]
+    violations = []
+    prev = records[0].backing_track_position
+    for i, record in enumerate(records):
+        if i > 0:
+            if not record.backing_track_position > prev:
+                violations.append(f"position not strictly increasing at index {i}")
+            prev = record.backing_track_position
+        violations.extend(f"record {i}: {v}" for v in validate_record(record))
+    return violations
+
+
+def oracle_mean_trajectory(records, parts) -> tuple[list, list]:
+    """Per-record sum(xs) / len(xs) over the listed parts, sentinels skipped."""
+    mean_x, mean_y = [], []
+    for record in records:
+        xs, ys = [], []
+        for part in parts:
+            point = record.keypoints.get(part)
+            if point is None or (point.x == -1.0 and point.y == -1.0):
+                continue
+            xs.append(point.x)
+            ys.append(point.y)
+        mean_x.append(sum(xs) / len(xs) if xs else None)
+        mean_y.append(sum(ys) / len(ys) if ys else None)
+    return mean_x, mean_y
+
+
+_INT_KEYS = ("sync_chorus_id", "flow", "hardware_bitalino_eda",
+             "hardware_brainbit_eeg_t3", "hardware_brainbit_eeg_t4",
+             "hardware_brainbit_eeg_o1", "hardware_brainbit_eeg_o2")
+
+
+def oracle_parse_error(rows) -> tuple[str, str] | None:
+    """(error class name, message) of the first contract break in decoded
+    rows, scanning row by row with the record checks before the clock
+    check; None when the rows keep the contract."""
+    from musicking_lab.model import SKELETON_PARTS
+
+    def number(value, key, row):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return f"row {row}: {key} is not numeric: {value!r}"
+        try:
+            finite = math.isfinite(float(value))
+        except OverflowError:
+            finite = False
+        return None if finite else f"row {row}: {key} is not finite"
+
+    def record_error(obj, row):
+        if not isinstance(obj, dict):
+            return "MalformedDocument", f"row {row}: record is not an object"
+        if obj.get("backing_track_position") is None:
+            return "SchemaError", f"row {row}: required field backing_track_position missing"
+        for key in ("backing_track_position", "sync_delta", *_INT_KEYS):
+            value = obj.get(key)
+            if value is None:
+                continue
+            problem = number(value, key, row)
+            if problem is None and key in _INT_KEYS and not float(value).is_integer():
+                problem = f"row {row}: {key} must be an integer, got {value!r}"
+            if problem:
+                return "SchemaError", problem
+        skeleton_keys = set()
+        for part in SKELETON_PARTS:
+            keys = [f"hardware_skeleton_{part}_{axis}" for axis in ("x", "y", "confidence")]
+            skeleton_keys.update(keys)
+            values = [obj.get(key) for key in keys]
+            if all(v is None for v in values):
+                continue
+            if any(v is None for v in values):
+                return "SchemaError", f"row {row}: incomplete keypoint for {part}"
+            for value in values:
+                problem = number(value, f"hardware_skeleton_{part}", row)
+                if problem:
+                    return "SchemaError", problem
+        known = {"session_id", "backing_track_position", "sync_delta", *_INT_KEYS, *skeleton_keys}
+        for key, value in obj.items():
+            if key not in known and isinstance(value, (int, float)) \
+                    and not isinstance(value, bool) and number(value, key, row):
+                return "SchemaError", number(value, key, row)
+        session_id = obj.get("session_id")
+        if session_id is not None and not isinstance(session_id, str):
+            return "SchemaError", f"row {row}: session_id is not a string: {session_id!r}"
+        return None
+
+    previous = None
+    for row, obj in enumerate(rows):
+        error = record_error(obj, row)
+        if error:
+            return error
+        position = float(obj["backing_track_position"])
+        if previous is not None and not position > previous:
+            return "SchemaError", (f"row {row}: backing_track_position {position!r} not "
+                                   f"strictly increasing (previous {previous!r})")
+        previous = position
+    return None

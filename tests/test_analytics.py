@@ -30,6 +30,7 @@ from musicking_lab.analytics import (
 from musicking_lab.errors import (
     DegenerateSeries,
     EmptySeries,
+    NonFinite,
     NoValidPoints,
     TooFewPairs,
     UnknownPart,
@@ -96,6 +97,15 @@ class TestHistogram:
     def test_right_edge_inclusive(self):
         bins = histogram([0.0, 1.0], 2)
         assert bins[-1][2] == 1
+
+    def test_range_too_narrow_at_its_magnitude(self):
+        # Two values an ulp apart near 1e300 leave no room for 20 distinct edges.
+        with pytest.raises(DegenerateSeries, match="Too many bins"):
+            histogram([1e300, 1.0000000000000002e300], 20)
+
+    def test_infinite_value(self):
+        with pytest.raises(NonFinite):
+            histogram([1.0, math.inf], 4)
 
     @given(st.lists(st.none() | finite, min_size=1, max_size=60),
            st.integers(1, 12))

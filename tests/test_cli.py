@@ -303,23 +303,55 @@ def write_huge_eda_corpus(directory: Path) -> None:
         (directory / f"{sid}.json").write_text(json.dumps(rows))
 
 
+def _run_module(argv) -> subprocess.CompletedProcess:
+    """The CLI in a real process, so numpy warnings reach stderr as they
+    would for a user."""
+    env = dict(os.environ, PYTHONPATH=str(Path(musicking_lab.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "musicking_lab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestFiniteButHugeValues:
     @pytest.mark.parametrize("command, message", [
         (["compare"], "ANOVA overflows double precision"),
         (["analyze", "--session", "a"], "analysis.json: Out of range float values"),
     ])
     def test_exit_one_with_one_line(self, tmp_path, command, message):
-        # A real process, so numpy warnings reach stderr as they would for a user.
         write_huge_eda_corpus(tmp_path / "data")
-        env = dict(os.environ, PYTHONPATH=str(Path(musicking_lab.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "musicking_lab.cli", *command,
-             "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = _run_module([*command, "--dataset", str(tmp_path / "data"),
+                            "--out", str(tmp_path / "out")])
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR") and message in lines[0]
+
+    def test_cluster_prints_no_warning(self, tmp_path):
+        # bar_features z-scores infinite feature columns; numpy's invalid-value
+        # warnings must not reach the user ahead of the one ERROR line.
+        write_huge_eda_corpus(tmp_path / "data")
+        proc = _run_module(["cluster", "--session", "a", "--dataset", str(tmp_path / "data"),
+                            "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines()[-1].startswith("ERROR")
+
+    def test_analyze_on_intervals_a_few_ulps_apart(self, tmp_path):
+        # The sampling-interval histogram cannot split intervals near 1e300
+        # that differ by an ulp into 20 bins.
+        data = tmp_path / "data"
+        data.mkdir()
+        rows, position = [], 0.0
+        for i in range(30):
+            rows.append({"session_id": "h", "backing_track_position": position,
+                         "sync_chorus_id": 1, "flow": 3, "hardware_bitalino_eda": 400})
+            position += 1e300 if i % 2 == 0 else 1.0000000000000002e300
+        (data / "h.json").write_text(json.dumps(rows))
+        proc = _run_module(["analyze", "--session", "h", "--dataset", str(data),
+                            "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR") and "Too many bins" in lines[0]
 
     def test_via_main(self, tmp_path):
         write_huge_eda_corpus(tmp_path / "data")

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import performance_session
+from helpers import oracle_parse_error, performance_session
 from musicking_lab import ingest
 from musicking_lab.cli import main
 from musicking_lab.errors import InvariantError, MalformedDocument, SchemaError
@@ -442,3 +442,92 @@ class TestMalformedInputFuzz:
                 assert "Traceback" not in log_text
                 for line in log_text.splitlines():
                     assert line.startswith(("skipped", "session", "validated"))
+
+
+class TestFirstFailingRow:
+    """The earliest failing row is reported; within a row its own checks
+    come before the clock check."""
+
+    @pytest.mark.parametrize("rows, error, message", [
+        ([{"backing_track_position": 0}, {"backing_track_position": 130},
+          {"backing_track_position": 120},
+          {"backing_track_position": 260, "hardware_bitalino_eda": "HUGE"}],
+         SchemaError, "row 2: backing_track_position 120.0 not strictly increasing "
+                      "(previous 130.0)"),
+        ([{"backing_track_position": 0},
+          {"backing_track_position": 130, "hardware_skeleton_nose_x": "HUGE",
+           "hardware_skeleton_nose_y": 1, "hardware_skeleton_nose_confidence": 1},
+          {"backing_track_position": 120}],
+         SchemaError, "row 1: hardware_skeleton_nose is not finite"),
+        ([{"backing_track_position": 0}, {"backing_track_position": -5, "flow": 2.5}],
+         SchemaError, "row 1: flow must be an integer, got 2.5"),
+        ([{"backing_track_position": 0}, {"backing_track_position": 0}, 5],
+         SchemaError, "row 1: backing_track_position 0.0 not strictly increasing "
+                      "(previous 0.0)"),
+        ([{"backing_track_position": 0}, [1], {"backing_track_position": -1}],
+         MalformedDocument, "row 1: record is not an object"),
+        ([{"flow": 3}, {"backing_track_position": 130}],
+         SchemaError, "row 0: required field backing_track_position missing"),
+        ([{"backing_track_position": 0}, {"backing_track_position": 130, "session_id": 5}],
+         SchemaError, "row 1: session_id is not a string: 5"),
+    ], ids=["clock before non-finite", "non-finite before clock", "same row",
+            "clock before non-object", "non-object before clock", "no clock in the first row",
+            "session id not a string"])
+    def test_reported_row_and_message(self, rows, error, message):
+        with pytest.raises(error) as excinfo:
+            parse_session_file(doc(rows).replace('"HUGE"', "1e400"))
+        assert str(excinfo.value) == message
+
+
+_BREAK_LITERALS = ["1e400", "-1e999", "1" + "0" * 400, '"text"', "true", "[]", "{}", "2.5",
+                   "null"]
+_BREAK_KEYS = ["backing_track_position", "sync_delta", "sync_chorus_id", "flow",
+               "hardware_bitalino_eda", "hardware_brainbit_eeg_o2", "hardware_skeleton_nose_x",
+               "hardware_skeleton_l_ear_confidence", "session_id", "extra_column"]
+
+
+@st.composite
+def documents_with_breaks(draw):
+    """A small session document with up to three contract breaks of any
+    kind in any rows, as text."""
+    n = draw(st.integers(1, 6))
+    rows, position = [], 0.0
+    for step in draw(st.lists(st.floats(1.0, 400.0), min_size=n, max_size=n)):
+        position += step
+        rows.append({"session_id": "fz", "backing_track_position": position, "flow": 3,
+                     "hardware_skeleton_nose_x": 1.0, "hardware_skeleton_nose_y": 2.0,
+                     "hardware_skeleton_nose_confidence": 0.5, "extra_column": 1})
+    literals = []
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["value", "clock", "drop", "row"]))
+        if not isinstance(rows[row], dict):
+            continue
+        if kind == "value":
+            rows[row][draw(st.sampled_from(_BREAK_KEYS))] = f"BREAK{len(literals)}"
+            literals.append(draw(st.sampled_from(_BREAK_LITERALS)))
+        elif kind == "clock" and row > 0 and isinstance(rows[row - 1], dict):
+            rows[row]["backing_track_position"] = rows[row - 1].get("backing_track_position")
+        elif kind == "drop":
+            keys = sorted(rows[row])
+            rows[row].pop(draw(st.sampled_from(["backing_track_position", *keys]
+                                               if "backing_track_position" in keys else keys)))
+        elif kind == "row":
+            rows[row] = draw(st.sampled_from([1, "row", None, [1, 2]]))
+    text = doc(rows)
+    for i, literal in enumerate(literals):
+        text = text.replace(f'"BREAK{i}"', literal)
+    return text
+
+
+class TestColumnChecksOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(documents_with_breaks())
+    def test_same_error_as_a_row_by_row_scan(self, text):
+        expected = oracle_parse_error(json.loads(text))
+        if expected is None:
+            assert len(parse_session_file(text)) == len(json.loads(text))
+            return
+        with pytest.raises((MalformedDocument, SchemaError)) as excinfo:
+            parse_session_file(text)
+        assert (type(excinfo.value).__name__, str(excinfo.value)) == expected
