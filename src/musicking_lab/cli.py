@@ -40,7 +40,15 @@ from .errors import (
     UnknownSession,
 )
 from .ingest import DatasetWalk, find_session, load_bundled_beat_grid, parse_beat_grid
-from .model import SKELETON_PARTS, BeatGrid, EEG_CHANNELS, Session, _column, column_values
+from .model import (
+    NONPERFORMANCE_CHORUS_IDS,
+    SKELETON_PARTS,
+    BeatGrid,
+    EEG_CHANNELS,
+    Session,
+    _column,
+    column_values,
+)
 
 log = logging.getLogger("musicking_lab")
 
@@ -66,9 +74,6 @@ class RunConfig:
     seed: int = 0
     k_range: tuple[int, int] = (2, 8)
     svg: bool = False
-    # Accepted and echoed into the outputs, but unused: sessions are parsed
-    # in one thread, since pure-Python parsing holds the interpreter lock.
-    workers: int | None = None
 
     def validate(self) -> None:
         if not 0.0 <= self.confidence_threshold <= 1.0:
@@ -83,6 +88,8 @@ class RunConfig:
     def as_dict(self) -> dict:
         d = asdict(self)
         d["k_range"] = list(self.k_range)
+        # --workers is gone; the seed-1 digests in perfbench/golden.json pin this echo.
+        d["workers"] = None
         return d
 
 
@@ -120,7 +127,6 @@ _CONFIG_PARSERS = {
     "seed": int,
     "k_range": parse_k_range,
     "svg": lambda v: v.lower() in ("1", "true", "yes"),
-    "workers": int,
 }
 
 
@@ -143,7 +149,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for flag, field in (("dataset", "dataset_dir"), ("grid", "beat_grid_path"),
                         ("out", "output_dir"), ("confidence_threshold", "confidence_threshold"),
                         ("iqr_k", "iqr_k"), ("window_seconds", "window_seconds"),
-                        ("seed", "seed"), ("workers", "workers")):
+                        ("seed", "seed")):
         value = getattr(args, flag, None)
         if value is not None:
             overrides[field] = value
@@ -206,7 +212,7 @@ def _performance_values(session: Session, column: str,
     values = _column(session, column)
     if not exclude_nonperformance:
         return values
-    return values[~np.isin(_column(session, "chorus_id"), (0, 999))]
+    return values[~np.isin(_column(session, "chorus_id"), NONPERFORMANCE_CHORUS_IDS)]
 
 
 # -- validate ----------------------------------------------------------------
@@ -560,8 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="include_nonperformance",
                        help="keep chorus 0/999 records in analyses")
         p.add_argument("--svg", action="store_true", help="render SVG figures")
-        p.add_argument("--workers", type=int,
-                       help="accepted for compatibility; has no effect")
 
     p_validate = sub.add_parser("validate", help="audit data quality of every session")
     common(p_validate)

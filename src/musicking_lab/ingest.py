@@ -6,14 +6,16 @@ is a JSON object with ``tempo_bpm``, ``duration_s``, ``audio_sample_rate_hz``
 and the ``beats_s`` / ``bars_s`` onset arrays; the grid for the shared
 backing track ships with the package.
 
-A file is decoded once and parsed by column: each field becomes one
-float array of the ``Session`` in a single pass over the rows, with no
-per-record objects.  Ingest enforces the input contract with array checks:
-every number is finite (``NaN`` and ``Infinity`` literals are rejected, as
-are literals that overflow a double) and the master clock
-``backing_track_position`` is present and strictly increasing.  A file
-that breaks it raises ``MalformedDocument`` or ``SchemaError`` naming the
-first failing row, and never reaches analysis.
+A file is decoded once and parsed by column: each canonical key becomes
+the float array that the ``Session`` keeps under its short name (the one
+column table, ``model._COLUMNS``, names both), in a single pass over the
+rows, with no per-record objects.  The recognized keys, the integer keys
+and the check order all come from that table.  Ingest enforces the input
+contract with array checks: every number is finite (``NaN`` and
+``Infinity`` literals are rejected, as are literals that overflow a double)
+and the master clock ``backing_track_position`` is present and strictly
+increasing.  A file that breaks it raises ``MalformedDocument`` or
+``SchemaError`` naming the first failing row, and never reaches analysis.
 """
 
 from __future__ import annotations
@@ -31,40 +33,31 @@ import numpy as np
 from .errors import MalformedDocument, MusickingError, SchemaError
 from .model import (
     _ABSENT,
+    _COLUMNS,
+    _INTEGER_FIELDS,
+    _SCALAR_FIELDS,
     SKELETON_AXES,
     SKELETON_PARTS,
     BeatGrid,
-    EEG_CHANNELS,
     Session,
     _float_column,
     _is_number,
-    _skeleton_block,
+    _part,
 )
 
 SESSION_FILE_SUFFIX = ".json"
 
-# Scalar keys in check order, each with its Session column.
-_SCALAR_KEYS = {
-    "backing_track_position": "backing_track_position",
-    "sync_delta": "sync_delta",
-    "sync_chorus_id": "chorus_id",
-    "flow": "flow",
-    "hardware_bitalino_eda": "eda",
-}
-for _ch in EEG_CHANNELS:
-    _SCALAR_KEYS[f"hardware_brainbit_eeg_{_ch}"] = f"eeg_{_ch}"
-_INT_KEYS = tuple(_SCALAR_KEYS)[2:]
-
+# The canonical key of each short name, from the one column table.
+_KEYS = {name: key for key, name in _COLUMNS.items()}
+# Scalar keys in check order: the master clock first, as in Record.
+_SCALAR_KEYS = tuple(_KEYS[name] for name in _SCALAR_FIELDS)
 # Per skeleton part: its name, its error label and its (x, y, confidence)
-# keys, formatted once here rather than for every record.
+# keys, looked up once here rather than for every record.
 _KEYPOINT_KEYS = tuple(
     (part, f"hardware_skeleton_{part}",
-     tuple(f"hardware_skeleton_{part}_{axis}" for axis in SKELETON_AXES))
+     tuple(_KEYS[f"{part}_{axis}"] for axis in SKELETON_AXES))
     for part in SKELETON_PARTS)
-
-_SKELETON_KEYS = tuple(key for _, _, keys in _KEYPOINT_KEYS for key in keys)
-_COLUMN_KEYS = (*_SCALAR_KEYS, *_SKELETON_KEYS)
-_RECOGNIZED_KEYS = frozenset({"session_id", *_COLUMN_KEYS})
+_RECOGNIZED_KEYS = frozenset({"session_id", *_COLUMNS})
 
 
 def _require_number(value, key: str, row: int) -> float:
@@ -90,7 +83,7 @@ def _check_row(obj, row: int) -> None:
         value = obj.get(key)
         if value is not None:
             number = _require_number(value, key, row)
-            if key in _INT_KEYS and not number.is_integer():
+            if _COLUMNS[key] in _INTEGER_FIELDS and not number.is_integer():
                 raise SchemaError(f"{key} must be an integer, got {value!r}", row=row)
     for part, label, keys in _KEYPOINT_KEYS:
         values = [obj.get(key) for key in keys]
@@ -155,18 +148,18 @@ def parse_session_file(data: bytes | str, fallback_session_id: str = "") -> Sess
     n = next((i for i, obj in enumerate(rows) if not isinstance(obj, dict)), len(rows))
     body = rows[:n]  # the rows before the first one that is not an object
     bad = np.zeros(n, dtype=bool)
-    values = {}
-    for key in _COLUMN_KEYS:
-        values[key], wrong = _float_column([obj.get(key) for obj in body])
+    columns = {}
+    for key, name in _COLUMNS.items():
+        columns[name], wrong = _float_column([obj.get(key) for obj in body])
         bad[wrong] = True
-        bad |= np.isinf(values[key])
-    position = values["backing_track_position"]
+        bad |= np.isinf(columns[name])
+    position = columns["backing_track_position"]
     bad |= np.isnan(position)
-    for key in _INT_KEYS:
-        bad |= np.isfinite(values[key]) & (values[key] != np.floor(values[key]))
-    skeleton = _skeleton_block([values[key] for key in _SKELETON_KEYS])
-    nulls = np.isnan(skeleton).sum(axis=2)
-    bad |= ((nulls > 0) & (nulls < len(SKELETON_AXES))).any(axis=1)
+    for name in _INTEGER_FIELDS:
+        bad |= np.isfinite(columns[name]) & (columns[name] != np.floor(columns[name]))
+    for part in SKELETON_PARTS:
+        x, y, confidence, present = _part(columns, part)
+        bad |= present & (np.isnan(x) | np.isnan(y) | np.isnan(confidence))
     extras = {}
     if set().union(*body) - _RECOGNIZED_KEYS:
         for key in dict.fromkeys(chain.from_iterable(body)):
@@ -185,9 +178,7 @@ def parse_session_file(data: bytes | str, fallback_session_id: str = "") -> Sess
         _check_row(rows[row], row)
         raise SchemaError(f"backing_track_position {float(position[row])!r} not strictly "
                           f"increasing (previous {float(position[row - 1])!r})", row=row)
-    columns = {attr: values[key] for key, attr in _SCALAR_KEYS.items()}
-    return Session._from_columns(_session_id(rows, fallback_session_id), columns, skeleton,
-                                 extras)
+    return Session._from_columns(_session_id(rows, fallback_session_id), columns, extras)
 
 
 def serialize_session(session: Session) -> str:
@@ -197,20 +188,15 @@ def serialize_session(session: Session) -> str:
     equal Session.  Extras are written at the top level of each record, so
     their keys must not collide with canonical column names.
     """
+    scalar_keys = [(key, name) for key, name in _COLUMNS.items() if name in _SCALAR_FIELDS]
     rows = []
     for r in session.records:
         obj: dict = {"session_id": session.session_id}
-        obj["sync_delta"] = r.sync_delta
-        obj["sync_chorus_id"] = r.chorus_id
-        obj["backing_track_position"] = r.backing_track_position
-        obj["flow"] = r.flow
-        obj["hardware_bitalino_eda"] = r.eda
-        for ch in EEG_CHANNELS:
-            obj[f"hardware_brainbit_eeg_{ch}"] = getattr(r, f"eeg_{ch}")
-        for part, kp in r.keypoints.items():
-            obj[f"hardware_skeleton_{part}_x"] = kp.x
-            obj[f"hardware_skeleton_{part}_y"] = kp.y
-            obj[f"hardware_skeleton_{part}_confidence"] = kp.confidence
+        obj.update((key, getattr(r, name)) for key, name in scalar_keys)
+        for part, _, keys in _KEYPOINT_KEYS:  # the order the records view holds them in
+            kp = r.keypoints.get(part)
+            if kp is not None:
+                obj.update(zip(keys, (kp.x, kp.y, kp.confidence)))
         obj.update(r.extras)
         rows.append(obj)
     return json.dumps(rows, indent=1, sort_keys=False)

@@ -7,10 +7,13 @@ physiological channels (skin conductance, four EEG electrodes), a
 self-reported flow score, and a 2-D skeleton with a per-part detector
 confidence.  All types are frozen value objects.
 
-A ``Session`` stores its records as columns, after the Apache Arrow
-columnar layout: one read-only float64 array per scalar field with NaN for
-null, an ``(n, 12, 3)`` skeleton block (part x (x, y, confidence)) with NaN
-where a part is absent, and the extras per key.  ``Session.records`` is a
+A ``Session`` stores its records as columns, after an Apache Arrow record
+batch: one map from short column name to a read-only float64 array with
+NaN for null, for all 45 canonical columns (the scalar fields and each
+skeleton part's x, y and confidence), and the extras per key.  One table,
+``_COLUMNS``, maps each canonical on-disk name to its short name; ingest
+and the column lookup derive from it.  A skeleton part is present in a
+record when any of its three columns is not NaN.  ``Session.records`` is a
 view of ``Record`` objects built from the columns on first use.  A session
 built in code from records must hold numbers or ``None`` in every canonical
 field and name only known skeleton parts; anything else raises
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,6 +61,9 @@ EEG_CHANNELS: tuple[str, ...] = ("t3", "t4", "o1", "o2")
 # 999 = post-performance tail.
 CHORUS_IDS: frozenset[int] = frozenset({0, 1, 2, 3, 4, 5, 999})
 PERFORMANCE_CHORUS_IDS: frozenset[int] = frozenset({1, 2, 3, 4, 5})
+# The pre- and post-performance labels; a tuple, since ``np.isin`` does not
+# read a set as a set of values.
+NONPERFORMANCE_CHORUS_IDS: tuple[int, ...] = (0, 999)
 
 # Coordinate sentinel used by the pose detector when a part is not found.
 SENTINEL = -1.0
@@ -103,10 +109,36 @@ class Record:
     extras: Mapping[str, object] = field(default_factory=dict)
 
 
-# Scalar Record fields in column order; the integer ones read back as int.
-_SCALAR_FIELDS: tuple[str, ...] = ("backing_track_position", "sync_delta", "chorus_id", "flow",
-                                   "eda", *(f"eeg_{ch}" for ch in EEG_CHANNELS))
+# -- column schema ---------------------------------------------------------
+#
+# Each canonical on-disk column name (the source dataset's snake_case), in
+# report order, with its short name: the Record field of a scalar, or
+# ``{part}_{axis}`` for the skeleton.  A Session keys its columns by the
+# short names, which make library call sites readable; both spellings
+# resolve.
+_COLUMNS: dict[str, str] = {
+    "sync_delta": "sync_delta",
+    "sync_chorus_id": "chorus_id",
+    "backing_track_position": "backing_track_position",
+    "flow": "flow",
+    "hardware_bitalino_eda": "eda",
+    **{f"hardware_brainbit_eeg_{ch}": f"eeg_{ch}" for ch in EEG_CHANNELS},
+    **{f"hardware_skeleton_{part}_{axis}": f"{part}_{axis}"
+       for part in SKELETON_PARTS for axis in SKELETON_AXES},
+}
+_ALIASES: dict[str, str] = {**_COLUMNS, **{name: name for name in _COLUMNS.values()}}
+
+# Scalar Record fields (all but keypoints and extras) in field order, the
+# master clock first; the integer ones read back as int.
+_SCALAR_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(Record))[:-2]
 _INTEGER_FIELDS = frozenset(_SCALAR_FIELDS[2:])
+
+
+def _part(columns: Mapping[str, np.ndarray], part: str) -> tuple[np.ndarray, ...]:
+    """A skeleton part's x, y and confidence columns, and the mask of the
+    records where the part is present: any of the three is not NaN."""
+    x, y, confidence = (columns[f"{part}_{axis}"] for axis in SKELETON_AXES)
+    return x, y, confidence, ~(np.isnan(x) & np.isnan(y) & np.isnan(confidence))
 
 
 class _Absent:
@@ -151,11 +183,6 @@ def _to_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _skeleton_block(axes: list[np.ndarray]) -> np.ndarray:
-    """The (record, part, axis) block from part-major per-axis columns."""
-    return np.stack(axes, axis=1).reshape(len(axes[0]), len(SKELETON_PARTS), len(SKELETON_AXES))
-
-
 def _as_list(arr: np.ndarray, integer: bool) -> list:
     """A column as Python values: None for NaN, int for an integral value
     of an integer field."""
@@ -178,7 +205,7 @@ class Session:
             skeleton part.
     """
 
-    __slots__ = ("session_id", "records", "_columns", "_skeleton", "_extras")
+    __slots__ = ("session_id", "records", "_columns", "_extras")
 
     def __init__(self, session_id: str, records: Sequence[Record]):
         n = len(records)
@@ -191,36 +218,37 @@ class Session:
                 points[part][i] = point
             for key, value in record.extras.items():
                 extras.setdefault(key, [_ABSENT] * n)[i] = value
-        raw = {name: [getattr(r, name) for r in records] for name in _SCALAR_FIELDS}
+        # Short name -> (error label, values), scalars first.
+        raw = {name: (name, [getattr(r, name) for r in records]) for name in _SCALAR_FIELDS}
         for part, column in points.items():
             for axis in SKELETON_AXES:
-                raw[f"{part}: {axis}"] = [None if p is None else getattr(p, axis) for p in column]
-        arrays = []
-        for label, values in raw.items():
-            array, wrong = _float_column(values)
+                raw[f"{part}_{axis}"] = (f"{part}: {axis}",
+                                         [None if p is None else getattr(p, axis) for p in column])
+        columns = {}
+        for name, (label, values) in raw.items():
+            columns[name], wrong = _float_column(values)
             # A NaN would read back as null, which is None here.
-            wrong = wrong or [i for i in np.flatnonzero(np.isnan(array)).tolist()
+            wrong = wrong or [i for i in np.flatnonzero(np.isnan(columns[name])).tolist()
                               if values[i] is not None]
             if wrong:
                 raise InvariantError(f"record {wrong[0]}: {label} is not a number: "
                                      f"{values[wrong[0]]!r}")
-            arrays.append(array)
-        self._init(session_id, dict(zip(_SCALAR_FIELDS, arrays)),
-                   _skeleton_block(arrays[len(_SCALAR_FIELDS):]), extras)
+        self._init(session_id, columns, extras)
 
     @classmethod
     def _from_columns(cls, session_id: str, columns: dict[str, np.ndarray],
-                      skeleton: np.ndarray, extras: dict[str, list]) -> Session:
-        """A session from its columns, as ingest builds it (no checks)."""
+                      extras: dict[str, list]) -> Session:
+        """A session from its columns keyed by short name, as ingest builds
+        it (no checks)."""
         session = cls.__new__(cls)
-        session._init(session_id, columns, skeleton, extras)
+        session._init(session_id, columns, extras)
         return session
 
-    def _init(self, session_id, columns, skeleton, extras) -> None:
-        for array in (*columns.values(), skeleton):
+    def _init(self, session_id, columns, extras) -> None:
+        for array in columns.values():
             array.flags.writeable = False
         for name, value in (("session_id", session_id), ("records", _RecordView(self)),
-                            ("_columns", columns), ("_skeleton", skeleton),
+                            ("_columns", columns),
                             ("_extras", {key: tuple(v) for key, v in extras.items()})):
             object.__setattr__(self, name, value)
 
@@ -228,19 +256,17 @@ class Session:
         raise AttributeError(f"Session is immutable: cannot set {name!r}")
 
     def __reduce__(self):
-        return Session._from_columns, (self.session_id, self._columns, self._skeleton,
-                                       self._extras)
+        return Session._from_columns, (self.session_id, self._columns, self._extras)
 
     def __len__(self) -> int:
-        return self._skeleton.shape[0]
+        return len(self._columns["backing_track_position"])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Session):
             return NotImplemented
         return (self.session_id == other.session_id and self._extras == other._extras
-                and np.array_equal(self._skeleton, other._skeleton, equal_nan=True)
                 and all(np.array_equal(self._columns[name], other._columns[name], equal_nan=True)
-                        for name in _SCALAR_FIELDS))
+                        for name in _COLUMNS.values()))
 
     __hash__ = None
 
@@ -250,12 +276,12 @@ class Session:
     def _build_records(self) -> tuple[Record, ...]:
         scalars = [_as_list(self._columns[name], name in _INTEGER_FIELDS)
                    for name in _SCALAR_FIELDS]
-        present = (~np.isnan(self._skeleton).all(axis=2)).tolist()
-        skeleton = self._skeleton.tolist()
+        parts = [(part, *(a.tolist() for a in _part(self._columns, part)))
+                 for part in SKELETON_PARTS]
         records = []
         for i, values in enumerate(zip(*scalars)):
-            keypoints = {part: Keypoint(*skeleton[i][p])
-                         for p, part in enumerate(SKELETON_PARTS) if present[i][p]}
+            keypoints = {part: Keypoint(x[i], y[i], confidence[i])
+                         for part, x, y, confidence, present in parts if present[i]}
             extras = {key: v[i] for key, v in self._extras.items() if v[i] is not _ABSENT}
             records.append(Record(*values, keypoints=keypoints, extras=extras))
         return tuple(records)
@@ -388,57 +414,18 @@ class BarFeatureMatrix:
                 f"{len(self.bar_index)} bars x {len(self.feature_names)} features")
 
 
-# -- column naming ---------------------------------------------------------
-#
-# Canonical on-disk column names follow the source dataset's snake_case
-# style; short aliases make library call sites readable.  Both resolve.
-
-_SCALAR_COLUMNS: dict[str, str] = {
-    "sync_delta": "sync_delta",
-    "sync_chorus_id": "chorus_id",
-    "chorus_id": "chorus_id",
-    "backing_track_position": "backing_track_position",
-    "flow": "flow",
-    "hardware_bitalino_eda": "eda",
-    "eda": "eda",
-}
-for _ch in EEG_CHANNELS:
-    _SCALAR_COLUMNS[f"hardware_brainbit_eeg_{_ch}"] = f"eeg_{_ch}"
-    _SCALAR_COLUMNS[f"eeg_{_ch}"] = f"eeg_{_ch}"
-
-# Skeleton column name -> (part, axis) index into the skeleton block.
-_SKELETON_INDEX: dict[str, tuple[int, int]] = {}
-for _p, _part in enumerate(SKELETON_PARTS):
-    for _a, _axis in enumerate(SKELETON_AXES):
-        _SKELETON_INDEX[f"hardware_skeleton_{_part}_{_axis}"] = (_p, _a)
-        _SKELETON_INDEX[f"{_part}_{_axis}"] = (_p, _a)
-
+# -- column lookup ---------------------------------------------------------
 
 def canonical_columns() -> tuple[str, ...]:
     """All canonical column names in report order."""
-    names = ["sync_delta", "sync_chorus_id", "backing_track_position", "flow",
-             "hardware_bitalino_eda"]
-    names += [f"hardware_brainbit_eeg_{ch}" for ch in EEG_CHANNELS]
-    for part in SKELETON_PARTS:
-        names += [f"hardware_skeleton_{part}_{axis}" for axis in SKELETON_AXES]
-    return tuple(names)
-
-
-def skeleton_columns() -> tuple[str, ...]:
-    """Canonical skeleton column names (x, y, confidence per part)."""
-    return tuple(f"hardware_skeleton_{part}_{axis}"
-                 for part in SKELETON_PARTS for axis in SKELETON_AXES)
+    return tuple(_COLUMNS)
 
 
 def _column(session: Session, name: str) -> np.ndarray:
     """One column as a read-only float array, NaN for null; resolves like
     :func:`column_values`."""
-    attr = _SCALAR_COLUMNS.get(name)
-    if attr is not None:
-        return session._columns[attr]
-    part_axis = _SKELETON_INDEX.get(name)
-    if part_axis is not None:
-        return session._skeleton[:, part_axis[0], part_axis[1]]
+    if name in _ALIASES:
+        return session._columns[_ALIASES[name]]
     array, _ = _float_column(_extras_values(session, name))
     array.flags.writeable = False
     return array
@@ -464,8 +451,8 @@ def column_values(session: Session, name: str) -> list[float | None]:
         UnknownColumn: If the name is neither canonical nor present in any
             record's extras.
     """
-    if name in _SCALAR_COLUMNS or name in _SKELETON_INDEX:
-        return _as_list(_column(session, name), _SCALAR_COLUMNS.get(name) in _INTEGER_FIELDS)
+    if name in _ALIASES:
+        return _as_list(_column(session, name), _ALIASES[name] in _INTEGER_FIELDS)
     return _extras_values(session, name)
 
 
@@ -478,7 +465,7 @@ def _check_number(violations: list[str], label: str, value, *, integer=False,
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         violations.append(f"{label} not numeric")
         return
-    if integer and not float(value).is_integer():
+    if integer and not _to_float(value).is_integer():
         violations.append(f"{label} not an integer")
     if minimum is not None and value < minimum:
         violations.append(f"{label} below {minimum}")
@@ -528,10 +515,10 @@ def validate_session(session: Session) -> list[str]:
     bad |= ~np.isnan(flow) & ((flow < 0) | ~np.isfinite(flow) | (flow != np.floor(flow)))
     for name in ("eda", *(f"eeg_{ch}" for ch in EEG_CHANNELS)):
         bad |= columns[name] < 0
-    x, y, confidence = np.moveaxis(session._skeleton, 2, 0)
-    part_bad = (~((confidence >= 0.0) & (confidence <= 1.0)) | (x < SENTINEL) | (y < SENTINEL)
-                | ((x == SENTINEL) != (y == SENTINEL)))
-    bad |= (part_bad & ~np.isnan(session._skeleton).all(axis=2)).any(axis=1)
+    for part in SKELETON_PARTS:
+        x, y, confidence, present = _part(columns, part)
+        bad |= present & (~((confidence >= 0.0) & (confidence <= 1.0)) | (x < SENTINEL)
+                          | (y < SENTINEL) | ((x == SENTINEL) != (y == SENTINEL)))
     violations: list[str] = []
     for i in np.flatnonzero(clock | bad).tolist():
         if clock[i]:

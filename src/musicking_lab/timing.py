@@ -20,7 +20,14 @@ import numpy as np
 
 from . import analytics
 from .errors import MissingChorusIds, OutOfTrack, TooFewBeats, TooFewRecords
-from .model import PERFORMANCE_CHORUS_IDS, BeatGrid, Session, _column, column_values
+from .model import (
+    NONPERFORMANCE_CHORUS_IDS,
+    PERFORMANCE_CHORUS_IDS,
+    BeatGrid,
+    Session,
+    _column,
+    column_values,
+)
 from .quality import OutlierEntry, iqr_outliers
 
 PER_BAR_STATS = ("mean", "sum", "std", "min", "max")
@@ -197,7 +204,7 @@ def _bar_groups(session: Session, grid: BeatGrid, values: np.ndarray,
     _, beat, keep = _align(_column(session, "backing_track_position"), grid, offset_ms)
     keep &= ~np.isnan(values)
     if not include_nonperformance:
-        keep &= ~np.isin(_column(session, "chorus_id"), (0, 999))
+        keep &= ~np.isin(_column(session, "chorus_id"), NONPERFORMANCE_CHORUS_IDS)
     bars = beat[keep] // 4
     order = np.argsort(bars, kind="stable")
     bounds = np.cumsum(np.bincount(bars, minlength=grid.n_bars))[:-1]

@@ -87,6 +87,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig(k_range=(5, 4)).validate()
 
+    def test_workers_flag_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--dataset", str(tmp_path), "--workers", "2"])
+        assert exc.value.code == 2
+
+    def test_workers_config_key_is_unknown(self, tmp_path, caplog):
+        cfg = tmp_path / "musicking.conf"
+        cfg.write_text("workers=2\n")
+        with caplog.at_level("ERROR", logger="musicking_lab"):
+            assert main(["validate", "--config", str(cfg), "--dataset", str(tmp_path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "unknown config key 'workers'" in caplog.text
+
+    def test_removed_workers_option_still_echoes_null(self):
+        assert RunConfig().as_dict()["workers"] is None
+        assert not hasattr(RunConfig(), "workers")
+
 
 class TestCmdValidate:
     def test_clean_corpus_exit_zero(self, tmp_path, grid):

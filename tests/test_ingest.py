@@ -20,7 +20,14 @@ from musicking_lab.ingest import (
     parse_session_file,
     serialize_session,
 )
-from musicking_lab.model import SKELETON_PARTS, Keypoint, Record, Session
+from musicking_lab.model import (
+    SKELETON_PARTS,
+    Keypoint,
+    Record,
+    Session,
+    canonical_columns,
+    column_values,
+)
 
 
 def doc(rows) -> str:
@@ -151,6 +158,19 @@ class TestRoundTrip:
         parsed = parse_session_file(serialize_session(session))
         assert [r.backing_track_position for r in parsed.records] == \
                [r.backing_track_position for r in session.records]
+
+    def test_every_canonical_key(self):
+        rows = [{"session_id": "all", **{key: 100 * row + i
+                                         for i, key in enumerate(canonical_columns())}}
+                for row in range(3)]
+        session = parse_session_file(doc(rows))
+        assert [r.extras for r in session.records] == [{}, {}, {}]
+        for key in canonical_columns():
+            assert None not in column_values(session, key), key
+        text = serialize_session(session)
+        assert [list(row) for row in json.loads(text)] == [["session_id", *canonical_columns()]] * 3
+        assert parse_session_file(text) == session
+        assert serialize_session(parse_session_file(text)) == text
 
 
 class TestParseBeatGrid:

@@ -27,6 +27,7 @@ from musicking_lab.model import (
     SKELETON_AXES,
     SKELETON_PARTS,
     Session,
+    _column,
     canonical_columns,
     column_values,
     validate_record,
@@ -78,6 +79,11 @@ class TestValidateRecord:
 
     def test_null_fields_never_violate(self):
         assert validate_record(make_record(0.0)) == []
+
+    def test_integer_beyond_a_double_is_not_an_integer(self):
+        record = Record(0.0, flow=10 ** 400)
+        assert validate_record(record) == ["flow not an integer"]
+        assert validate_session(Session("s", [record])) == ["record 0: flow not an integer"]
 
 
 class TestValidateSession:
@@ -153,6 +159,37 @@ class TestColumns:
     def test_unknown_column(self):
         with pytest.raises(UnknownColumn):
             column_values(session_of([0]), "no_such_column")
+
+
+def _short_alias(name: str) -> str:
+    """The short alias of a canonical column name, spelled out here rather
+    than read from the model's table."""
+    if name == "sync_chorus_id":
+        return "chorus_id"
+    for prefix in ("hardware_skeleton_", "hardware_brainbit_", "hardware_bitalino_"):
+        name = name.removeprefix(prefix)
+    return name
+
+
+class TestColumnSchema:
+    def test_name_and_alias_read_one_array(self):
+        s = session_of([0, 130, 260], eda=[1, None, 3],
+                       keypoints=[{part: kp(1.0, 2.0) for part in SKELETON_PARTS}, {},
+                                  {"nose": kp(3.0, 4.0)}])
+        aliases = [_short_alias(name) for name in canonical_columns()]
+        assert len(set(aliases)) == len(aliases) == 45
+        assert set(s._columns) == set(aliases)
+        for name, alias in zip(canonical_columns(), aliases):
+            column = _column(s, name)
+            assert _column(s, alias) is column, name
+            assert column.shape == (len(s),), name
+
+    def test_part_with_one_null_axis_stays_present(self):
+        s = Session("s", [make_record(0.0, keypoints={"nose": Keypoint(None, 2.0, 0.5)})])
+        assert list(s.records[0].keypoints) == ["nose"]
+        assert column_values(s, "nose_x") == [None]
+        assert column_values(s, "nose_y") == [2.0]
+        assert validate_session(s) == []
 
 
 class TestSessionColumns:
