@@ -448,11 +448,11 @@ def cmd_compare(config: RunConfig) -> int:
                              summary.min, summary.q25, summary.median, summary.q75,
                              summary.max])
         try:
-            entry = quality.iqr_outliers(eda, k=config.iqr_k)
+            outliers, lower, upper = quality._iqr_mask(eda, config.iqr_k)
             box_stats[session_id] = {
                 "median": summary.median, "q25": summary.q25, "q75": summary.q75,
-                "lower_fence": entry.lower, "upper_fence": entry.upper,
-                "outlier_count": len(entry.indices)}
+                "lower_fence": lower, "upper_fence": upper,
+                "outlier_count": int(outliers.sum())}
         except TooFewValues:
             box_stats[session_id] = dict(INSUFFICIENT)
         groups[session_id] = eda

@@ -21,6 +21,7 @@ increasing.  A file that breaks it raises ``MalformedDocument`` or
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
@@ -105,6 +106,14 @@ def _reject_constant(literal: str):
     raise MalformedDocument(f"non-finite literal {literal} is not allowed")
 
 
+# A decoder with ``_decode_rows``' settings, for reading one record at a
+# time, and the opening of a top-level array: JSON whitespace, "[", whitespace.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_ARRAY_START = re.compile(r"[ \t\n\r]*\[[ \t\n\r]*")
+# Bytes read from the start of a file to learn its id from its first record.
+_PROBE_BYTES = 64 * 1024
+
+
 def _decode_rows(data: bytes | str) -> list:
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
@@ -184,9 +193,11 @@ def parse_session_file(data: bytes | str, fallback_session_id: str = "") -> Sess
 def serialize_session(session: Session) -> str:
     """Render a Session back to the canonical JSON document.
 
-    Inverse of :func:`parse_session_file`: parsing the output yields an
-    equal Session.  Extras are written at the top level of each record, so
-    their keys must not collide with canonical column names.
+    Inverse of :func:`parse_session_file` for a session that keeps the
+    input contract (finite numbers, a strictly increasing clock, JSON
+    extras): parsing the output yields an equal Session.  Extras are
+    written at the top level of each record, so their keys must not
+    collide with canonical column names.
     """
     scalar_keys = [(key, name) for key, name in _COLUMNS.items() if name in _SCALAR_FIELDS]
     rows = []
@@ -316,11 +327,38 @@ def discover_dataset(directory: str | Path) -> DatasetManifest:
     return walk.manifest()
 
 
+def _first_record_id(path: Path):
+    """The file's session id read from its first record alone, or None when
+    that record cannot decide it and the whole file must be decoded.
+
+    Row 0 decides when it is an object with a non-null ``session_id``: then
+    it is the first such record, and ``_session_id`` takes its value (an
+    empty one falls back to the file stem).  Only a bounded prefix of the
+    file is read; a row 0 that does not end inside it leaves the decoder
+    short of input, which is one of the undecided outcomes.
+    """
+    with path.open("rb") as file:
+        text = file.read(_PROBE_BYTES).decode("utf-8", errors="replace")
+    start = _ARRAY_START.match(text)
+    if start is None:
+        return None
+    try:
+        row, _ = _DECODER.raw_decode(text, start.end())
+    except (ValueError, RecursionError, MalformedDocument):
+        return None
+    if not isinstance(row, dict) or row.get("session_id") is None:
+        return None
+    return _session_id([row], path.stem)
+
+
 def find_session(directory: str | Path, session_id: str) -> Session | None:
     """The session ``discover_dataset`` would list under ``session_id``.
 
-    Files are tried in name order; each is decoded to read its id, and only
-    a file whose id matches is fully parsed.  The first such file that
+    Files are tried in name order.  Each file's id is read from its first
+    record, from a bounded prefix of the file; only when that record has no
+    id (or is not an object, or does not fit the prefix) is the whole file
+    decoded to read the id as ``parse_session_file`` does.  Only a file
+    whose id matches is fully parsed, once.  The first such file that
     parses wins; one that fails is passed over, as the walk skips it.
     Returns None when no file holds the id.
 
@@ -328,13 +366,14 @@ def find_session(directory: str | Path, session_id: str) -> Session | None:
         OSError: Directory missing or unreadable.
     """
     for path in _session_paths(directory):
-        try:
-            rows = _decode_rows(path.read_bytes())
-        except MalformedDocument:
+        file_id = _first_record_id(path)
+        if file_id is None:
+            try:
+                file_id = _session_id(_decode_rows(path.read_bytes()), path.stem)
+            except MalformedDocument:
+                continue
+        if file_id != session_id:
             continue
-        if _session_id(rows, path.stem) != session_id:
-            continue
-        del rows  # free the decoded document before the full parse decodes it again
         try:
             return load_session(path)
         except MusickingError:

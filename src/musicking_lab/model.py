@@ -16,7 +16,8 @@ and the column lookup derive from it.  A skeleton part is present in a
 record when any of its three columns is not NaN.  ``Session.records`` is a
 view of ``Record`` objects built from the columns on first use.  A session
 built in code from records must hold numbers or ``None`` in every canonical
-field and name only known skeleton parts; anything else raises
+field, name only known skeleton parts and give each keypoint all three axes
+or none, as ingest requires of a file; anything else raises
 ``InvariantError`` naming the record.  A number is an ``int`` or a
 ``float`` other than NaN (a null is ``None``), as ``validate_record``
 counts them: a numpy float64 is a float, a numpy integer is not.
@@ -201,8 +202,9 @@ class Session:
 
     Raises:
         InvariantError: A canonical value of a record is not a number
-            (NaN is not one) or None, or a keypoint names an unknown
-            skeleton part.
+            (NaN is not one) or None, a keypoint names an unknown
+            skeleton part, or some but not all of a keypoint's axes are
+            None.
     """
 
     __slots__ = ("session_id", "records", "_columns", "_extras")
@@ -233,6 +235,14 @@ class Session:
             if wrong:
                 raise InvariantError(f"record {wrong[0]}: {label} is not a number: "
                                      f"{values[wrong[0]]!r}")
+        # A keypoint has all three axes or none, as ingest requires of a file.
+        incomplete = np.array([present & (np.isnan(x) | np.isnan(y) | np.isnan(confidence))
+                               for x, y, confidence, present
+                               in (_part(columns, part) for part in SKELETON_PARTS)])
+        if incomplete.any():
+            i, part = np.argwhere(incomplete.T)[0]
+            raise InvariantError(f"record {i}: {SKELETON_PARTS[part]}: incomplete keypoint, "
+                                 "an axis is None")
         self._init(session_id, columns, extras)
 
     @classmethod

@@ -61,11 +61,9 @@ class SentinelCounts:
     low_confidence_count: int
 
 
-def iqr_outliers(values: Sequence[float | None], k: float = DEFAULT_IQR_K) -> OutlierEntry:
-    """Flag values strictly outside the Tukey fences Q1 - k*IQR, Q3 + k*IQR.
-
-    Quartiles use linear interpolation between order statistics.  Nulls are
-    ignored and never flagged.
+def _iqr_mask(values, k: float) -> tuple[np.ndarray, float, float]:
+    """The mask of the values strictly outside the Tukey fences, and the
+    lower and upper fence; see :func:`iqr_outliers`.
 
     Raises:
         TooFewValues: Fewer than 4 non-null values.
@@ -79,8 +77,20 @@ def iqr_outliers(values: Sequence[float | None], k: float = DEFAULT_IQR_K) -> Ou
     lower, upper = q1 - k * iqr, q3 + k * iqr
     with np.errstate(invalid="ignore"):
         mask = (arr < lower) | (arr > upper)
-    return OutlierEntry(indices=tuple(int(i) for i in np.flatnonzero(mask)),
-                        lower=float(lower), upper=float(upper))
+    return mask, float(lower), float(upper)
+
+
+def iqr_outliers(values: Sequence[float | None], k: float = DEFAULT_IQR_K) -> OutlierEntry:
+    """Flag values strictly outside the Tukey fences Q1 - k*IQR, Q3 + k*IQR.
+
+    Quartiles use linear interpolation between order statistics.  Nulls are
+    ignored and never flagged.
+
+    Raises:
+        TooFewValues: Fewer than 4 non-null values.
+    """
+    mask, lower, upper = _iqr_mask(values, k)
+    return OutlierEntry(indices=tuple(np.flatnonzero(mask).tolist()), lower=lower, upper=upper)
 
 
 def outlier_report(session: Session, k: float = DEFAULT_IQR_K) -> OutlierReport:
@@ -194,7 +204,7 @@ def integrity_report(session: Session,
         outliers = 0
         if iqr_k is not None:
             try:
-                outliers = len(iqr_outliers(values, k=iqr_k).indices)
+                outliers = int(_iqr_mask(values, iqr_k)[0].sum())
             except TooFewValues:
                 pass
         sentinels = scan.get(name)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from musicking_lab.model import Keypoint, Record, Session
 
@@ -20,6 +21,13 @@ def kp(x: float, y: float, confidence: float = 0.9) -> Keypoint:
 
 def sentinel_kp() -> Keypoint:
     return Keypoint(x=-1.0, y=-1.0, confidence=0.0)
+
+
+def partial_keypoints(coordinate, confidence):
+    """Strategy for a Keypoint with one or two of its three axes None."""
+    return st.tuples(coordinate, coordinate, confidence,
+                     st.sets(st.integers(0, 2), min_size=1, max_size=2)).map(
+        lambda d: Keypoint(*(None if axis in d[3] else v for axis, v in enumerate(d[:3]))))
 
 
 def make_record(position: float, **kwargs) -> Record:

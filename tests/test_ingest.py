@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import logging
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import oracle_parse_error, performance_session
+from helpers import oracle_parse_error, partial_keypoints, performance_session
 from musicking_lab import ingest
 from musicking_lab.cli import main
 from musicking_lab.errors import InvariantError, MalformedDocument, SchemaError
@@ -16,6 +17,7 @@ from musicking_lab.ingest import (
     discover_dataset,
     find_session,
     load_bundled_beat_grid,
+    load_session,
     parse_beat_grid,
     parse_session_file,
     serialize_session,
@@ -149,9 +151,28 @@ def sessions_st(draw):
 
 class TestRoundTrip:
     @settings(max_examples=150, deadline=None)
-    @given(sessions_st())
-    def test_parse_serialize_identity(self, session):
-        assert parse_session_file(serialize_session(session)) == session
+    @given(sessions_st(), st.data())
+    def test_parse_serialize_identity(self, session, data):
+        # One record gets values across the whole finite range, an integral
+        # float in an integer field, or a keypoint that lacks an axis, which
+        # Session refuses: ingest would refuse the document it serializes to.
+        records = list(session.records)
+        i = data.draw(st.integers(0, len(records) - 1))
+        records[i] = dataclasses.replace(
+            records[i], sync_delta=data.draw(st.none() | st.floats(allow_nan=False,
+                                                                   allow_infinity=False)),
+            flow=data.draw(st.none() | st.integers(0, 2 ** 53).map(float) | st.integers(0, 2 ** 53)))
+        partial = data.draw(st.none() | partial_keypoints(_coord, st.floats(0, 1)))
+        if partial is not None:
+            records[i] = dataclasses.replace(records[i], keypoints={"nose": partial})
+            with pytest.raises(InvariantError, match=f"record {i}: nose: incomplete keypoint"):
+                Session(session.session_id, records)
+            return
+        session = Session(session.session_id, records)
+        text = serialize_session(session)
+        parsed = parse_session_file(text)
+        assert parsed == session
+        assert serialize_session(parsed) == text
 
     def test_parsing_preserves_order(self, grid):
         session = performance_session(grid, seed=5)
@@ -319,6 +340,30 @@ def parse_calls(monkeypatch):
     return calls
 
 
+def _count_decodes(monkeypatch) -> list[int]:
+    """The length of each document ``ingest._decode_rows`` is called on."""
+    calls = []
+    real = ingest._decode_rows
+
+    def counting(data):
+        calls.append(len(data))
+        return real(data)
+
+    monkeypatch.setattr(ingest, "_decode_rows", counting)
+    return calls
+
+
+def _split_by_the_prefix(head: str, tail: str) -> bytes:
+    """The ASCII ``head``, a string of two-byte characters longer than the
+    lookup's prefix, then ``tail``; a space after the first comma, when
+    needed, makes the prefix end inside a character."""
+    if (ingest._PROBE_BYTES - len(head)) % 2 == 0:
+        head = head.replace(",", ", ", 1)
+    data = (head + "\u00e9" * ingest._PROBE_BYTES + tail).encode()
+    assert data[ingest._PROBE_BYTES - 1:ingest._PROBE_BYTES + 1].decode() == "\u00e9"
+    return data
+
+
 class TestParseOnce:
     @pytest.fixture
     def corpus(self, tmp_path, grid):
@@ -370,6 +415,122 @@ class TestSessionLookup:
                                    "--out", str(tmp_path / "out"), "--session", "nope"])
         assert code == 1
         assert "not found" in log_text
+
+    @pytest.mark.parametrize("row_0", [{"session_id": None}, {}], ids=["null", "absent"])
+    def test_id_after_row_0_found_through_the_full_decode(self, tmp_path, parse_calls, row_0):
+        rows = [{"backing_track_position": 0, **row_0},
+                {"backing_track_position": 130, "session_id": "same"}]
+        (tmp_path / "a.json").write_text(doc(rows))
+        _write_rows(tmp_path / "b.json", "same")
+        session = find_session(tmp_path, "same")
+        assert parse_calls == ["a"]
+        assert session == load_session(tmp_path / "a.json")
+
+    def test_empty_id_on_row_0_falls_back_to_the_stem(self, tmp_path):
+        rows = [{"backing_track_position": 0, "session_id": ""},
+                {"backing_track_position": 130, "session_id": "other"}]
+        (tmp_path / "stem.json").write_text(doc(rows))
+        assert find_session(tmp_path, "stem").session_id == "stem"
+        assert find_session(tmp_path, "other") is None
+
+    def test_truncated_file_naming_the_id_is_passed_over(self, tmp_path, parse_calls):
+        _write_rows(tmp_path / "a.json", "same", n=9)
+        text = (tmp_path / "a.json").read_text()
+        (tmp_path / "a.json").write_text(text[:len(text) // 2])  # row 0 is whole
+        _write_rows(tmp_path / "b.json", "same", n=5)
+        _write_rows(tmp_path / "c.json", "same", n=7)
+        assert len(find_session(tmp_path, "same")) == 5
+        # Row 0 names the id, so the truncated file is parsed, and refused.
+        assert parse_calls == ["a", "b"]
+
+    @pytest.mark.parametrize("damage", ["truncate", "nan"])
+    def test_other_broken_file_is_never_decoded(self, tmp_path, monkeypatch, damage):
+        _write_rows(tmp_path / "a.json", "other", n=9)
+        text = (tmp_path / "a.json").read_text()
+        text = text[:len(text) // 2] if damage == "truncate" else \
+            text.replace('"hardware_bitalino_eda": 405', '"hardware_bitalino_eda": NaN')
+        (tmp_path / "a.json").write_text(text)
+        _write_rows(tmp_path / "b.json", "same")
+        decoded = _count_decodes(monkeypatch)
+        assert find_session(tmp_path, "absent") is None
+        assert decoded == []
+        assert len(find_session(tmp_path, "same")) == 3
+        assert decoded == [len((tmp_path / "b.json").read_bytes())]  # the match, once
+
+    def test_row_0_longer_than_the_prefix(self, tmp_path, monkeypatch):
+        data = _split_by_the_prefix('[{"session_id": "long", "backing_track_position": 0, "note": "',
+                                    '"}, {"backing_track_position": 130}]')
+        (tmp_path / "a.json").write_bytes(data)
+        _write_rows(tmp_path / "b.json", "long")
+        decoded = _count_decodes(monkeypatch)
+        session = find_session(tmp_path, "long")
+        assert decoded == [len(data)] * 2  # the id, from the whole file; then the parse
+        assert session == load_session(tmp_path / "a.json")
+        assert session.records[0].extras["note"] == "\u00e9" * ingest._PROBE_BYTES
+
+    def test_prefix_ending_inside_a_character_after_row_0(self, tmp_path, monkeypatch):
+        data = _split_by_the_prefix('[{"session_id": "other", "backing_track_position": 0}, {"note": "',
+                                    '", "backing_track_position": 130}]')
+        (tmp_path / "a.json").write_bytes(data)
+        expected = load_session(tmp_path / "a.json")
+        decoded = _count_decodes(monkeypatch)
+        assert find_session(tmp_path, "other") == expected
+        assert find_session(tmp_path, "absent") is None
+        assert decoded == [len(data)]  # the parse alone
+
+    def test_leading_whitespace_accepted(self, tmp_path, monkeypatch, parse_calls):
+        _write_rows(tmp_path / "a.json", "same")
+        text = (tmp_path / "a.json").read_text()
+        assert text.startswith("[{")
+        (tmp_path / "a.json").write_text(" \t\r\n[ \n\t\r" + text[1:])
+        decoded = _count_decodes(monkeypatch)
+        assert len(find_session(tmp_path, "same")) == 3
+        assert len(decoded) == 1 and parse_calls == ["a"]
+
+    @pytest.mark.parametrize("text", [
+        "\ufeff" + doc([{"session_id": "x", "backing_track_position": 0}]),
+        "\f" + doc([{"session_id": "x", "backing_track_position": 0}]),
+        doc({"session_id": "x", "backing_track_position": 0}),
+        "{broken",
+        doc([5, {"session_id": "x", "backing_track_position": 0}]),
+    ], ids=["bom", "form feed", "top-level object", "broken", "row 0 not an object"])
+    def test_file_ingest_refuses_is_passed_over(self, tmp_path, text):
+        (tmp_path / "x.json").write_bytes(text.encode())
+        assert find_session(tmp_path, "x") is None
+        manifest = discover_dataset(tmp_path)
+        assert manifest.entries == ()
+        assert [path for path, _ in manifest.skipped] == [str(tmp_path / "x.json")]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["valid", "truncated", "null_id", "empty_id",
+                                               "no_id", "nan", "row_0_scalar"]),
+                              st.sampled_from(["a", "b", "s1", "s2"])),
+                    max_size=6), st.data())
+    def test_same_session_as_the_walk_lists(self, files, data):
+        with tempfile.TemporaryDirectory() as name:
+            directory = Path(name)
+            for stem, (kind, session_id) in zip("abcdef", files):
+                rows = [{"session_id": session_id, "backing_track_position": 130.0 * i,
+                         "hardware_bitalino_eda": 400 + i} for i in range(3)]
+                if kind in ("null_id", "no_id"):
+                    rows[0]["session_id"] = None
+                if kind == "no_id":
+                    rows = [{k: v for k, v in row.items() if k != "session_id"} for row in rows]
+                if kind == "empty_id":
+                    rows[0]["session_id"] = ""
+                if kind == "row_0_scalar":
+                    rows.insert(0, 5)
+                text = doc(rows)
+                if kind == "truncated":
+                    text = text[:data.draw(st.integers(1, len(text) - 1))]
+                if kind == "nan":
+                    text = text.replace("402", "NaN")
+                (directory / f"{stem}.json").write_text(text)
+            manifest = discover_dataset(directory)
+            paths = {entry.session_id: entry.path for entry in manifest.entries}
+            for session_id in {*paths, *"abcdef", "s1", "s2", "absent"}:
+                expected = load_session(paths[session_id]) if session_id in paths else None
+                assert find_session(directory, session_id) == expected, session_id
 
     def test_nan_clock(self, tmp_path):
         # A NaN in the master clock is rejected at ingest and never reaches analysis.

@@ -13,6 +13,7 @@ from helpers import (
     oracle_column_values,
     oracle_mean_trajectory,
     oracle_validate_session,
+    partial_keypoints,
     sentinel_kp,
     session_of,
 )
@@ -184,12 +185,19 @@ class TestColumnSchema:
             assert _column(s, alias) is column, name
             assert column.shape == (len(s),), name
 
-    def test_part_with_one_null_axis_stays_present(self):
-        s = Session("s", [make_record(0.0, keypoints={"nose": Keypoint(None, 2.0, 0.5)})])
-        assert list(s.records[0].keypoints) == ["nose"]
-        assert column_values(s, "nose_x") == [None]
-        assert column_values(s, "nose_y") == [2.0]
-        assert validate_session(s) == []
+    def test_part_with_one_null_axis_is_refused(self):
+        # Ingest refuses a file whose keypoint lacks an axis; so does Session.
+        for point in (Keypoint(None, 2.0, 0.5), Keypoint(1.0, None, 0.5),
+                      Keypoint(1.0, 2.0, None), Keypoint(None, None, 0.5)):
+            records = [make_record(0.0, keypoints={"neck": kp(1.0, 2.0)}),
+                       make_record(130.0, keypoints={"neck": kp(1.0, 2.0), "nose": point})]
+            with pytest.raises(InvariantError, match="record 1: nose: incomplete keypoint"):
+                Session("s", records)
+
+    def test_part_with_every_axis_null_is_absent(self):
+        s = Session("s", [make_record(0.0, keypoints={"nose": Keypoint(None, None, None)})])
+        assert s.records[0].keypoints == {}
+        assert s == Session("s", [make_record(0.0)])
 
 
 class TestSessionColumns:
@@ -286,7 +294,8 @@ class TestSessionColumns:
 # non-integral or infinite floats, or None; an integral float there reads
 # back as int (tested above), so it is not drawn.  Keypoints are listed in
 # skeleton part order, the order the columns hold them in.  One record in
-# sixteen has a NaN in one canonical field, which Session refuses.
+# sixteen has a NaN in one canonical field, and a broken keypoint may lack
+# one or two of its axes; Session refuses both.
 def _mostly(valid, broken):
     return st.integers(0, 7).flatmap(lambda k: broken if k == 0 else valid)
 
@@ -310,7 +319,8 @@ _keypoint = _mostly(
     | st.builds(Keypoint, _below_sentinel, _coordinate, _unit)
     | st.builds(Keypoint, _coordinate, _below_sentinel, _unit)
     | st.builds(Keypoint, _coordinate, _coordinate, _any.filter(lambda c: not 0 <= c <= 1))
-    | st.builds(Keypoint, _any, _any, _any))
+    | st.builds(Keypoint, _any, _any, _any)
+    | partial_keypoints(_coordinate, _unit))
 
 
 @st.composite
@@ -351,12 +361,18 @@ def _with_nan(record, target):
 
 def _session_or_refusal(records):
     """The session of the records, or None after checking that Session
-    refuses a NaN in a canonical field."""
+    refuses a NaN in a canonical field, then a keypoint that lacks some but
+    not all of its axes."""
     values = [v for r in records
               for v in (*(getattr(r, f.name) for f in dataclasses.fields(Record)[:9]),
                         *(c for p in r.keypoints.values() for c in (p.x, p.y, p.confidence)))]
     if any(v is not None and math.isnan(v) for v in values):
         with pytest.raises(InvariantError, match="is not a number: nan"):
+            Session("s", records)
+        return None
+    if any(None in axes and axes != (None, None, None)
+           for r in records for axes in ((p.x, p.y, p.confidence) for p in r.keypoints.values())):
+        with pytest.raises(InvariantError, match="incomplete keypoint"):
             Session("s", records)
         return None
     return Session("s", records)
