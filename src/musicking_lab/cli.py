@@ -15,9 +15,10 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,10 +79,10 @@ class RunConfig:
     def validate(self) -> None:
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ValueError(f"confidence-threshold {self.confidence_threshold} not in [0, 1]")
-        if self.iqr_k < 0:
-            raise ValueError(f"iqr-k must be >= 0, got {self.iqr_k}")
-        if self.window_seconds <= 0:
-            raise ValueError(f"window-seconds must be > 0, got {self.window_seconds}")
+        if not 0.0 <= self.iqr_k < math.inf:
+            raise ValueError(f"iqr-k must be finite and >= 0, got {self.iqr_k}")
+        if not 0.0 < self.window_seconds < math.inf:
+            raise ValueError(f"window-seconds must be finite and > 0, got {self.window_seconds}")
         if self.k_range[0] > self.k_range[1]:
             raise ValueError(f"k-range {self.k_range} is empty")
 
@@ -102,6 +103,42 @@ def parse_k_range(text: str) -> tuple[int, int]:
         raise ValueError(f"k-range must look like LO:HI, got {text!r}") from exc
 
 
+_BOOLEAN_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _read_bool(text: str) -> bool:
+    try:
+        return _BOOLEAN_WORDS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected 1/0/true/false/yes/no, got {text!r}") from None
+
+
+# Every setting once: its RunConfig field (the config-file key), its flag,
+# how a value is read, and the flag's help.  A boolean setting's flag takes
+# no value and sets the field to the opposite of its default.
+_SETTINGS = (
+    ("dataset_dir", "--dataset", str, f"session file directory (default ${DATASET_ENV_VAR})"),
+    ("beat_grid_path", "--grid", str, "beat-grid JSON path (default: bundled backing track)"),
+    ("output_dir", "--out", str, "output directory"),
+    ("confidence_threshold", "--confidence-threshold", float,
+     "keypoint confidence below which a row counts as low-confidence"),
+    ("iqr_k", "--iqr-k", float, "IQR fence multiplier for outliers"),
+    ("window_seconds", "--window-seconds", float, "rolling-window length in seconds"),
+    ("exclude_nonperformance", "--include-nonperformance", _read_bool,
+     "keep chorus 0/999 records in analyses"),
+    ("seed", "--seed", int, "random seed"),
+    ("k_range", "--k-range", parse_k_range, "inclusive LO:HI"),
+    ("svg", "--svg", _read_bool, "render SVG figures"),
+)
+
+
+def _read(name: str, reader, text):
+    try:
+        return reader(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def load_config_file(path: str | Path) -> dict:
     """Flat key=value config; '#' starts a comment, blank lines ignored."""
     values: dict = {}
@@ -116,50 +153,25 @@ def load_config_file(path: str | Path) -> dict:
     return values
 
 
-_CONFIG_PARSERS = {
-    "dataset_dir": str,
-    "beat_grid_path": str,
-    "output_dir": str,
-    "confidence_threshold": float,
-    "iqr_k": float,
-    "window_seconds": float,
-    "exclude_nonperformance": lambda v: v.lower() in ("1", "true", "yes"),
-    "seed": int,
-    "k_range": parse_k_range,
-    "svg": lambda v: v.lower() in ("1", "true", "yes"),
-}
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
+    """Flags > config file > $MUSICKING_LAB_DATASET > RunConfig's defaults."""
+    readers = {field: reader for field, _, reader, _ in _SETTINGS}
+    values = {}
     if getattr(args, "config", None):
-        raw = load_config_file(args.config)
-        fields = {}
-        for key, text in raw.items():
-            parser = _CONFIG_PARSERS.get(key)
-            if parser is None:
+        for key, text in load_config_file(args.config).items():
+            if key not in readers:
                 raise ValueError(f"unknown config key {key!r}")
-            fields[key] = parser(text)
-        config = replace(config, **fields)
-    env_dataset = os.environ.get(DATASET_ENV_VAR)
-    if config.dataset_dir is None and env_dataset:
-        config = replace(config, dataset_dir=env_dataset)
-
-    overrides = {}
-    for flag, field in (("dataset", "dataset_dir"), ("grid", "beat_grid_path"),
-                        ("out", "output_dir"), ("confidence_threshold", "confidence_threshold"),
-                        ("iqr_k", "iqr_k"), ("window_seconds", "window_seconds"),
-                        ("seed", "seed")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    if getattr(args, "k_range", None) is not None:
-        overrides["k_range"] = parse_k_range(args.k_range)
-    if getattr(args, "include_nonperformance", False):
-        overrides["exclude_nonperformance"] = False
-    if getattr(args, "svg", False):
-        overrides["svg"] = True
-    config = replace(config, **overrides)
+            values[key] = _read(f"config key {key!r}", readers[key], text)
+    if "dataset_dir" not in values and os.environ.get(DATASET_ENV_VAR):
+        values["dataset_dir"] = os.environ[DATASET_ENV_VAR]
+    for field, flag, reader, _ in _SETTINGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if reader is _read_bool:
+            if value:
+                values[field] = not getattr(RunConfig, field)
+        elif value is not None:
+            values[field] = _read(flag, reader, value)
+    config = RunConfig(**values)
     config.validate()
     return config
 
@@ -247,44 +259,18 @@ def cmd_validate(config: RunConfig) -> int:
 
 # -- analyze -----------------------------------------------------------------
 
-def _sampling_section(session: Session):
+def _or_insufficient(compute, *errors):
+    """``compute()``, or the insufficient-data marker with the reason when
+    it raises one of ``errors``."""
     try:
-        profile = timing.infer_sampling_rate(session)
-    except TooFewRecords as exc:
-        return dict(INSUFFICIENT, reason=str(exc)), None
-    payload = asdict(profile)
-    payload["interval_histogram"] = [list(b) for b in profile.interval_histogram]
-    return payload, profile
-
-
-def _delta_section(session: Session, iqr_k: float):
-    try:
-        profile = timing.delta_profile(session, iqr_k=iqr_k)
-    except (TooFewRecords, TooFewValues, EmptySeries) as exc:
+        return compute()
+    except errors as exc:
         return dict(INSUFFICIENT, reason=str(exc))
-    return {"histogram": [list(b) for b in profile.histogram],
-            "outlier_indices": list(profile.outliers.indices),
+
+
+def _delta_payload(profile: timing.DeltaProfile) -> dict:
+    return {"histogram": profile.histogram, "outlier_indices": profile.outliers.indices,
             "fences": [profile.outliers.lower, profile.outliers.upper]}
-
-
-def _chorus_section(session: Session):
-    try:
-        segments = timing.segment_choruses(session)
-    except MissingChorusIds as exc:
-        return dict(INSUFFICIENT, reason=str(exc)), []
-    return [asdict(s) for s in segments], segments
-
-
-def _summary_section(values) -> dict:
-    try:
-        return analytics.describe(values).as_dict()
-    except EmptySeries as exc:
-        return dict(INSUFFICIENT, reason=str(exc))
-
-
-def _correlation_section(session: Session) -> dict:
-    channels = {f"eeg_{ch}": column_values(session, f"eeg_{ch}") for ch in EEG_CHANNELS}
-    return analytics.correlation_matrix(channels).as_dict()
 
 
 def cmd_analyze(config: RunConfig, session_id: str) -> int:
@@ -293,48 +279,39 @@ def cmd_analyze(config: RunConfig, session_id: str) -> int:
     grid = _load_grid(config)
     out = _ensure_writable(config.output_dir) / "analyze" / session_id
 
-    sampling, profile = _sampling_section(session)
-    rate = profile.rate_hz if profile is not None else None
-    eda = column_values(session, "eda")
-    flow = column_values(session, "flow")
+    sampling = _or_insufficient(lambda: asdict(timing.infer_sampling_rate(session)),
+                                TooFewRecords)
+    rate = sampling.get("rate_hz")
+    eda = _column(session, "eda")
+    eeg = {f"eeg_{ch}": _column(session, f"eeg_{ch}") for ch in EEG_CHANNELS}
+    eda_summary = _or_insufficient(lambda: analytics.describe(eda).as_dict(), EmptySeries)
 
     if rate is not None:
         window = analytics.seconds_to_samples(config.window_seconds, rate)
         rolling = {
             "window_samples": window,
             "eda_mean": analytics.rolling_stat(eda, window, "mean"),
-            **{f"eeg_{ch}_variance":
-               analytics.rolling_stat(column_values(session, f"eeg_{ch}"), window, "variance")
-               for ch in EEG_CHANNELS},
+            **{f"{name}_variance": analytics.rolling_stat(values, window, "variance")
+               for name, values in eeg.items()},
         }
-        eda_summary = _summary_section(eda)
         if "std" in eda_summary:
-            peaks = analytics.detect_peaks(
-                eda,
-                min_distance_samples=analytics.seconds_to_samples(1.0, rate),
-                min_prominence=eda_summary["std"])
-            peak_section = {"indices": list(peaks.indices),
-                            "prominences": list(peaks.prominences),
-                            "min_distance_samples": peaks.min_distance_samples,
-                            "min_prominence": peaks.min_prominence}
+            peak_section = asdict(analytics.detect_peaks(
+                eda, min_distance_samples=analytics.seconds_to_samples(1.0, rate),
+                min_prominence=eda_summary["std"]))
         else:
             peak_section = dict(INSUFFICIENT, reason="no EDA values")
     else:
-        rolling = dict(INSUFFICIENT, reason="sampling rate unavailable")
-        eda_summary = _summary_section(eda)
-        peak_section = dict(INSUFFICIENT, reason="sampling rate unavailable")
+        rolling = peak_section = dict(INSUFFICIENT, reason="sampling rate unavailable")
 
-    chorus_section, _segments = _chorus_section(session)
     scan = quality.sentinel_scan(session, config.confidence_threshold)
     mean_x, mean_y = analytics.mean_trajectory(session, SKELETON_PARTS)
 
     occupancy = {}
     for part in TRAJECTORY_HEATMAP_PARTS:
-        xs = column_values(session, f"{part}_x")
-        ys = column_values(session, f"{part}_y")
         try:
-            grid_counts = analytics.occupancy_grid(xs, ys, *OCCUPANCY_GRID_SHAPE)
-            occupancy[part] = [[int(v) for v in row] for row in grid_counts]
+            occupancy[part] = analytics.occupancy_grid(
+                _column(session, f"{part}_x"), _column(session, f"{part}_y"),
+                *OCCUPANCY_GRID_SHAPE).tolist()
         except NoValidPoints:
             occupancy[part] = dict(INSUFFICIENT, reason="all samples sentinel")
 
@@ -344,12 +321,19 @@ def cmd_analyze(config: RunConfig, session_id: str) -> int:
         "config": config.as_dict(),
         "sections": {
             "sampling_profile": sampling,
-            "delta_profile": _delta_section(session, config.iqr_k),
-            "chorus_segments": chorus_section,
-            "summaries": {"flow": _summary_section(flow), "eda": eda_summary},
+            "delta_profile": _or_insufficient(
+                lambda: _delta_payload(timing.delta_profile(session, iqr_k=config.iqr_k)),
+                TooFewRecords, TooFewValues, EmptySeries),
+            "chorus_segments": _or_insufficient(
+                lambda: [asdict(s) for s in timing.segment_choruses(session)],
+                MissingChorusIds),
+            "summaries": {
+                "flow": _or_insufficient(
+                    lambda: analytics.describe(_column(session, "flow")).as_dict(), EmptySeries),
+                "eda": eda_summary},
             "rolling_tracks": rolling,
             "eda_peaks": peak_section,
-            "eeg_correlation": _correlation_section(session),
+            "eeg_correlation": analytics.correlation_matrix(eeg).as_dict(),
             "skeleton_quality": {
                 "scan": {name: asdict(c) for name, c in scan.items()},
                 "reliable_columns": quality.reliable_columns(scan),
@@ -553,19 +537,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dataset", help=f"session file directory (default ${DATASET_ENV_VAR})")
-        p.add_argument("--grid", help="beat-grid JSON path (default: bundled backing track)")
-        p.add_argument("--out", help="output directory")
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
-        p.add_argument("--confidence-threshold", type=float, dest="confidence_threshold")
-        p.add_argument("--iqr-k", type=float, dest="iqr_k")
-        p.add_argument("--window-seconds", type=float, dest="window_seconds")
-        p.add_argument("--k-range", dest="k_range", help="inclusive LO:HI")
-        p.add_argument("--include-nonperformance", action="store_true",
-                       dest="include_nonperformance",
-                       help="keep chorus 0/999 records in analyses")
-        p.add_argument("--svg", action="store_true", help="render SVG figures")
+        for _, flag, reader, help_text in _SETTINGS:
+            if reader is _read_bool:
+                p.add_argument(flag, action="store_true", help=help_text)
+            else:
+                p.add_argument(flag, help=help_text)
 
     p_validate = sub.add_parser("validate", help="audit data quality of every session")
     common(p_validate)

@@ -136,11 +136,12 @@ def _session_id(rows: list, fallback_session_id: str) -> str:
     return fallback_session_id
 
 
-def parse_session_file(data: bytes | str, fallback_session_id: str = "") -> Session:
+def parse_session_file(data: bytes | str | list, fallback_session_id: str = "") -> Session:
     """Parse a session document into a Session, preserving record order.
 
-    The document is decoded once and each column is built in one pass over
-    the rows, then checked with array operations.  Unknown columns are kept
+    The document is decoded once (``data`` may also be the list a decode
+    of it already gave) and each column is built in one pass over the
+    rows, then checked with array operations.  Unknown columns are kept
     verbatim per record as extras; absent values become null.  The session
     id is taken from the records' ``session_id`` column when present,
     otherwise from ``fallback_session_id`` (callers typically pass the file
@@ -153,7 +154,7 @@ def parse_session_file(data: bytes | str, fallback_session_id: str = "") -> Sess
             or the master clock does not strictly increase; reports the
             0-based row index of the first failure.
     """
-    rows = _decode_rows(data)
+    rows = data if isinstance(data, list) else _decode_rows(data)
     n = next((i for i, obj in enumerate(rows) if not isinstance(obj, dict)), len(rows))
     body = rows[:n]  # the rows before the first one that is not an object
     bad = np.zeros(n, dtype=bool)
@@ -193,11 +194,13 @@ def parse_session_file(data: bytes | str, fallback_session_id: str = "") -> Sess
 def serialize_session(session: Session) -> str:
     """Render a Session back to the canonical JSON document.
 
-    Inverse of :func:`parse_session_file` for a session that keeps the
-    input contract (finite numbers, a strictly increasing clock, JSON
-    extras): parsing the output yields an equal Session.  Extras are
-    written at the top level of each record, so their keys must not
-    collide with canonical column names.
+    Inverse of :func:`parse_session_file`: parsing the output yields an
+    equal Session.  Extras are written at the top level of each record, so
+    their keys must not collide with canonical column names.
+
+    Raises:
+        MalformedDocument, SchemaError: What :func:`parse_session_file`
+            raises on the output, for a session that breaks the input contract.
     """
     scalar_keys = [(key, name) for key, name in _COLUMNS.items() if name in _SCALAR_FIELDS]
     rows = []
@@ -210,7 +213,9 @@ def serialize_session(session: Session) -> str:
                 obj.update(zip(keys, (kp.x, kp.y, kp.confidence)))
         obj.update(r.extras)
         rows.append(obj)
-    return json.dumps(rows, indent=1, sort_keys=False)
+    text = json.dumps(rows, indent=1, sort_keys=False)
+    parse_session_file(text)  # the parser's rules are the only rules
+    return text
 
 
 def load_session(path: str | Path) -> Session:
@@ -357,25 +362,28 @@ def find_session(directory: str | Path, session_id: str) -> Session | None:
     Files are tried in name order.  Each file's id is read from its first
     record, from a bounded prefix of the file; only when that record has no
     id (or is not an object, or does not fit the prefix) is the whole file
-    decoded to read the id as ``parse_session_file`` does.  Only a file
-    whose id matches is fully parsed, once.  The first such file that
-    parses wins; one that fails is passed over, as the walk skips it.
-    Returns None when no file holds the id.
+    decoded to read the id as ``parse_session_file`` does, and then those
+    rows are parsed.  Only a file whose id matches is fully parsed, and each
+    file is decoded at most once.  The first such file that parses wins;
+    one that fails is passed over, as the walk skips it.  Returns None when
+    no file holds the id.
 
     Raises:
         OSError: Directory missing or unreadable.
     """
     for path in _session_paths(directory):
+        rows = None
         file_id = _first_record_id(path)
         if file_id is None:
             try:
-                file_id = _session_id(_decode_rows(path.read_bytes()), path.stem)
+                rows = _decode_rows(path.read_bytes())
             except MalformedDocument:
                 continue
+            file_id = _session_id(rows, path.stem)
         if file_id != session_id:
             continue
         try:
-            return load_session(path)
+            return load_session(path) if rows is None else parse_session_file(rows, path.stem)
         except MusickingError:
             continue
     return None

@@ -10,6 +10,7 @@ from helpers import performance_session
 import musicking_lab
 from musicking_lab.cli import (
     RunConfig,
+    build_parser,
     cmd_analyze,
     cmd_cluster,
     cmd_compare,
@@ -103,6 +104,91 @@ class TestConfig:
     def test_removed_workers_option_still_echoes_null(self):
         assert RunConfig().as_dict()["workers"] is None
         assert not hasattr(RunConfig(), "workers")
+
+
+# (RunConfig field, its flag, the value the flag gives, a config-file line,
+# the value that line gives); each boolean key appears once per direction.
+SETTING_CASES = [
+    ("dataset_dir", ["--dataset", "flag-dir"], "flag-dir", "dataset_dir=file-dir", "file-dir"),
+    ("beat_grid_path", ["--grid", "flag.json"], "flag.json", "beat_grid_path=file.json",
+     "file.json"),
+    ("output_dir", ["--out", "flag-out"], "flag-out", "output_dir=file-out", "file-out"),
+    ("confidence_threshold", ["--confidence-threshold", "0.25"], 0.25,
+     "confidence_threshold=0.75", 0.75),
+    ("iqr_k", ["--iqr-k", "3"], 3.0, "iqr_k=2.5", 2.5),
+    ("window_seconds", ["--window-seconds", "5"], 5.0, "window_seconds=20", 20.0),
+    ("exclude_nonperformance", ["--include-nonperformance"], False,
+     "exclude_nonperformance=No", False),
+    ("exclude_nonperformance", ["--include-nonperformance"], False,
+     "exclude_nonperformance=YES", True),
+    ("seed", ["--seed", "3"], 3, "seed=4", 4),
+    ("k_range", ["--k-range", "3:5"], (3, 5), "k_range=2..4", (2, 4)),
+    ("svg", ["--svg"], True, "svg=True", True),
+    ("svg", ["--svg"], True, "svg=0", False),
+]
+
+
+class TestSettings:
+    @pytest.mark.parametrize("field, flag, from_flag, line, from_line", SETTING_CASES,
+                             ids=[case[3] for case in SETTING_CASES])
+    def test_flag_and_config_key_set_the_same_field(self, tmp_path, field, flag, from_flag,
+                                                    line, from_line):
+        cfg = tmp_path / "musicking.conf"
+        cfg.write_text(line + "\n")
+
+        def resolved(*argv):
+            return getattr(resolve_config(build_parser().parse_args(["validate", *argv])), field)
+
+        assert resolved(*flag) == from_flag
+        assert resolved("--config", str(cfg)) == from_line
+        assert resolved("--config", str(cfg), *flag) == from_flag  # the flag wins
+
+    @pytest.mark.parametrize("line", ["svg=ture", "exclude_nonperformance=2"])
+    def test_boolean_key_takes_only_boolean_words(self, tmp_path, caplog, line):
+        cfg = tmp_path / "musicking.conf"
+        cfg.write_text(line + "\n")
+        key, _, word = line.partition("=")
+        with caplog.at_level("ERROR", logger="musicking_lab"):
+            assert main(["validate", "--config", str(cfg), "--dataset", str(tmp_path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert f"config key {key!r}" in caplog.text and repr(word) in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_value_that_does_not_read_names_its_key(self, tmp_path, caplog):
+        cfg = tmp_path / "musicking.conf"
+        cfg.write_text("seed=abc\n")
+        argv = ["validate", "--dataset", str(tmp_path), "--out", str(tmp_path / "out")]
+        with caplog.at_level("ERROR", logger="musicking_lab"):
+            assert main([*argv, "--config", str(cfg)]) == 1
+            assert main([*argv, "--seed", "abc"]) == 1
+        assert "config key 'seed': invalid literal" in caplog.text
+        assert "--seed: invalid literal" in caplog.text
+
+    @pytest.mark.parametrize("command, argv, config_text", [
+        (["validate"], ["--window-seconds", "nan"], ""),
+        (["validate"], [], "window_seconds=nan\n"),
+        (["analyze", "--session", "s"], ["--window-seconds", "nan"], ""),
+        (["analyze", "--session", "s"], ["--window-seconds", "inf"], ""),
+        (["validate"], ["--iqr-k", "inf"], ""),
+        (["validate"], ["--iqr-k", "nan"], ""),
+    ], ids=["window-nan", "window-nan-in-file", "analyze-window-nan", "analyze-window-inf",
+            "iqr-k-inf", "iqr-k-nan"])
+    def test_non_finite_setting_refused_before_writing(self, tmp_path, command, argv,
+                                                       config_text):
+        data = tmp_path / "data"
+        data.mkdir()
+        rows = [{"session_id": "s", "backing_track_position": i * 130.0, "sync_chorus_id": 1,
+                 "flow": 3, "hardware_bitalino_eda": 400 + i % 7} for i in range(30)]
+        (data / "s.json").write_text(json.dumps(rows))
+        cfg = tmp_path / "musicking.conf"
+        cfg.write_text(config_text)
+        proc = _run_module([*command, "--dataset", str(data), "--out", str(tmp_path / "out"),
+                            "--config", str(cfg), *argv])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR") and "finite" in lines[0]
+        assert not (tmp_path / "out").exists()
 
 
 class TestCmdValidate:

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import tempfile
 from pathlib import Path
 
@@ -192,6 +193,17 @@ class TestRoundTrip:
         assert [list(row) for row in json.loads(text)] == [["session_id", *canonical_columns()]] * 3
         assert parse_session_file(text) == session
         assert serialize_session(parse_session_file(text)) == text
+
+
+class TestSerializeRefusesWhatTheParserRefuses:
+    @pytest.mark.parametrize("records, error, message", [
+        ([Record(0.0, flow=math.inf)], MalformedDocument, "non-finite literal Infinity"),
+        ([Record(0.0), Record(0.0)], SchemaError, "row 1: backing_track_position 0.0 not strictly"),
+        ([Record(0.0, flow=1.5)], SchemaError, "row 0: flow must be an integer"),
+    ], ids=["infinite_flow", "repeated_clock", "fractional_flow"])
+    def test_refused(self, records, error, message):
+        with pytest.raises(error, match=message):
+            serialize_session(Session("s", records))
 
 
 class TestParseBeatGrid:
@@ -426,6 +438,15 @@ class TestSessionLookup:
         assert parse_calls == ["a"]
         assert session == load_session(tmp_path / "a.json")
 
+    def test_id_after_row_0_decoded_once(self, tmp_path, monkeypatch):
+        rows = [{"backing_track_position": 0, "session_id": None},
+                {"backing_track_position": 130, "session_id": "same"}]
+        (tmp_path / "a.json").write_text(doc(rows))
+        expected = load_session(tmp_path / "a.json")
+        decoded = _count_decodes(monkeypatch)
+        assert find_session(tmp_path, "same") == expected
+        assert decoded == [len(doc(rows))]
+
     def test_empty_id_on_row_0_falls_back_to_the_stem(self, tmp_path):
         rows = [{"backing_track_position": 0, "session_id": ""},
                 {"backing_track_position": 130, "session_id": "other"}]
@@ -464,7 +485,7 @@ class TestSessionLookup:
         _write_rows(tmp_path / "b.json", "long")
         decoded = _count_decodes(monkeypatch)
         session = find_session(tmp_path, "long")
-        assert decoded == [len(data)] * 2  # the id, from the whole file; then the parse
+        assert decoded == [len(data)]  # the whole file, once: for the id, then parsed
         assert session == load_session(tmp_path / "a.json")
         assert session.records[0].extras["note"] == "\u00e9" * ingest._PROBE_BYTES
 
