@@ -83,6 +83,8 @@ class RunConfig:
             raise ValueError(f"iqr-k must be finite and >= 0, got {self.iqr_k}")
         if not 0.0 < self.window_seconds < math.inf:
             raise ValueError(f"window-seconds must be finite and > 0, got {self.window_seconds}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.k_range[0] > self.k_range[1]:
             raise ValueError(f"k-range {self.k_range} is empty")
 
@@ -126,7 +128,7 @@ _SETTINGS = (
     ("window_seconds", "--window-seconds", float, "rolling-window length in seconds"),
     ("exclude_nonperformance", "--include-nonperformance", _read_bool,
      "keep chorus 0/999 records in analyses"),
-    ("seed", "--seed", int, "random seed"),
+    ("seed", "--seed", int, "random seed (>= 0)"),
     ("k_range", "--k-range", parse_k_range, "inclusive LO:HI"),
     ("svg", "--svg", _read_bool, "render SVG figures"),
 )

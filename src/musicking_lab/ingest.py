@@ -10,12 +10,13 @@ A file is decoded once and parsed by column: each canonical key becomes
 the float array that the ``Session`` keeps under its short name (the one
 column table, ``model._COLUMNS``, names both), in a single pass over the
 rows, with no per-record objects.  The recognized keys, the integer keys
-and the check order all come from that table.  Ingest enforces the input
-contract with array checks: every number is finite (``NaN`` and
-``Infinity`` literals are rejected, as are literals that overflow a double)
-and the master clock ``backing_track_position`` is present and strictly
-increasing.  A file that breaks it raises ``MalformedDocument`` or
-``SchemaError`` naming the first failing row, and never reaches analysis.
+and the check order all come from that table.  Each rule of the input
+contract is written once, as a row mask and a message: every number is
+finite (``NaN`` and ``Infinity`` literals are rejected, as are literals
+that overflow a double) and the master clock ``backing_track_position``
+is present and strictly increasing.  A file that breaks it raises
+``MalformedDocument`` or ``SchemaError`` naming the first failing row, and
+never reaches analysis.  The beat grid is read with the same decoder.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
-from math import isfinite
 from pathlib import Path
 from typing import Iterator
 
@@ -42,64 +42,18 @@ from .model import (
     BeatGrid,
     Session,
     _float_column,
-    _is_number,
-    _part,
 )
 
 SESSION_FILE_SUFFIX = ".json"
 
 # The canonical key of each short name, from the one column table.
 _KEYS = {name: key for key, name in _COLUMNS.items()}
-# Scalar keys in check order: the master clock first, as in Record.
-_SCALAR_KEYS = tuple(_KEYS[name] for name in _SCALAR_FIELDS)
-# Per skeleton part: its name, its error label and its (x, y, confidence)
-# keys, looked up once here rather than for every record.
+# Per skeleton part: its name, its error label and its (x, y, confidence) keys.
 _KEYPOINT_KEYS = tuple(
     (part, f"hardware_skeleton_{part}",
      tuple(_KEYS[f"{part}_{axis}"] for axis in SKELETON_AXES))
     for part in SKELETON_PARTS)
 _RECOGNIZED_KEYS = frozenset({"session_id", *_COLUMNS})
-
-
-def _require_number(value, key: str, row: int) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{key} is not numeric: {value!r}", row=row)
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the range of a double
-        number = float("inf")
-    if not isfinite(number):
-        raise SchemaError(f"{key} is not finite", row=row)
-    return number
-
-
-def _check_row(obj, row: int) -> None:
-    """Raise the first contract error of one row, in the order the checks
-    are documented; return if the row keeps the contract."""
-    if not isinstance(obj, dict):
-        raise MalformedDocument(f"row {row}: record is not an object")
-    if obj.get("backing_track_position") is None:
-        raise SchemaError("required field backing_track_position missing", row=row)
-    for key in _SCALAR_KEYS:
-        value = obj.get(key)
-        if value is not None:
-            number = _require_number(value, key, row)
-            if _COLUMNS[key] in _INTEGER_FIELDS and not number.is_integer():
-                raise SchemaError(f"{key} must be an integer, got {value!r}", row=row)
-    for part, label, keys in _KEYPOINT_KEYS:
-        values = [obj.get(key) for key in keys]
-        if all(v is None for v in values):
-            continue
-        if any(v is None for v in values):
-            raise SchemaError(f"incomplete keypoint for {part}", row=row)
-        for value in values:
-            _require_number(value, label, row)
-    for key, value in obj.items():
-        if key not in _RECOGNIZED_KEYS and _is_number(value):
-            _require_number(value, key, row)
-    session_id = obj.get("session_id")
-    if session_id is not None and not isinstance(session_id, str):
-        raise SchemaError(f"session_id is not a string: {session_id!r}", row=row)
 
 
 def _reject_constant(literal: str):
@@ -114,15 +68,19 @@ _ARRAY_START = re.compile(r"[ \t\n\r]*\[[ \t\n\r]*")
 _PROBE_BYTES = 64 * 1024
 
 
-def _decode_rows(data: bytes | str) -> list:
+def _decode(data: bytes | str):
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     try:
-        rows = json.loads(data, parse_constant=_reject_constant)
+        return json.loads(data, parse_constant=_reject_constant)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and integer literals too long to
         # convert; RecursionError, arrays or objects nested too deeply.
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
+
+
+def _decode_rows(data: bytes | str) -> list:
+    rows = _decode(data)
     if not isinstance(rows, list):
         raise MalformedDocument("top level is not an array of records")
     return rows
@@ -140,7 +98,8 @@ def parse_session_file(data: bytes | str | list, fallback_session_id: str = "") 
     """Parse a session document into a Session, preserving record order.
 
     The document is decoded once (``data`` may also be the list a decode
-    of it already gave) and each column is built in one pass over the
+    of it already gave, which keeps the same contract: a float NaN in it
+    is not finite) and each column is built in one pass over the
     rows, then checked with array operations.  Unknown columns are kept
     verbatim per record as extras; absent values become null.  The session
     id is taken from the records' ``session_id`` column when present,
@@ -157,38 +116,68 @@ def parse_session_file(data: bytes | str | list, fallback_session_id: str = "") 
     rows = data if isinstance(data, list) else _decode_rows(data)
     n = next((i for i, obj in enumerate(rows) if not isinstance(obj, dict)), len(rows))
     body = rows[:n]  # the rows before the first one that is not an object
-    bad = np.zeros(n, dtype=bool)
-    columns = {}
-    for key, name in _COLUMNS.items():
-        columns[name], wrong = _float_column([obj.get(key) for obj in body])
-        bad[wrong] = True
-        bad |= np.isinf(columns[name])
-    position = columns["backing_track_position"]
-    bad |= np.isnan(position)
-    for name in _INTEGER_FIELDS:
-        bad |= np.isfinite(columns[name]) & (columns[name] != np.floor(columns[name]))
-    for part in SKELETON_PARTS:
-        x, y, confidence, present = _part(columns, part)
-        bad |= present & (np.isnan(x) | np.isnan(y) | np.isnan(confidence))
+    read = {key: _float_column([obj.get(key) for obj in body]) for key in _COLUMNS}
     extras = {}
     if set().union(*body) - _RECOGNIZED_KEYS:
         for key in dict.fromkeys(chain.from_iterable(body)):
             if key not in _RECOGNIZED_KEYS:
                 extras[key] = [obj.get(key, _ABSENT) for obj in body]
-                numbers, _ = _float_column([v if _is_number(v) else None for v in extras[key]])
-                bad |= np.isinf(numbers)
-    ids = [obj.get("session_id") for obj in body]
-    bad[[i for i, v in enumerate(ids) if v is not None and not isinstance(v, str)]] = True
-    clock = np.zeros(n, dtype=bool)
-    clock[1:] = ~(position[1:] > position[:-1])
-    failed = bad | clock
-    if failed.any() or n < len(rows):
-        # The first failing row; its own checks come before the clock's.
-        row = int(failed.argmax()) if failed.any() else n
-        _check_row(rows[row], row)
-        raise SchemaError(f"backing_track_position {float(position[row])!r} not strictly "
-                          f"increasing (previous {float(position[row - 1])!r})", row=row)
+                read[key] = _float_column(extras[key])
+    rules = _contract_rules(body, read, extras)
+    failed = np.logical_or.reduce([mask for mask, _ in rules])
+    if failed.any():
+        row = int(failed.argmax())
+        raise SchemaError(next(message(row) for mask, message in rules if mask[row]), row=row)
+    if n < len(rows):
+        raise MalformedDocument(f"row {n}: record is not an object")
+    columns = {name: read[key][0] for key, name in _COLUMNS.items()}
     return Session._from_columns(_session_id(rows, fallback_session_id), columns, extras)
+
+
+def _contract_rules(body: list, read: dict, extras: dict) -> list:
+    """Each rule of the input contract as a pair: the mask of the rows of
+    ``body`` that break it, and its message for row i.  ``read`` holds the
+    ``_float_column`` (array, null, not a number) of each key read.  In
+    the order a row's checks are documented: the master clock present;
+    each scalar a number, finite, and an integer in an integer field; each
+    keypoint complete, its axes numbers and finite; numeric extras finite;
+    the session id a string; the master clock strictly increasing."""
+    not_finite = {key: ~(np.isfinite(column) | null | wrong)
+                  for key, (column, null, wrong) in read.items()}
+
+    def number_rules(key, label):
+        return [(read[key][2], lambda i: f"{label} is not numeric: {body[i][key]!r}"),
+                (not_finite[key], lambda i: f"{label} is not finite")]
+
+    def extras_message(i):
+        # A row with several such extras names the first in its own key order.
+        return f"{next(k for k in body[i] if k in extras and not_finite[k][i])} is not finite"
+
+    rules = [(read["backing_track_position"][1],
+              lambda i: "required field backing_track_position missing")]
+    for key in map(_KEYS.get, _SCALAR_FIELDS):
+        rules += number_rules(key, key)
+        if _COLUMNS[key] in _INTEGER_FIELDS:
+            column = read[key][0]
+            rules.append((np.isfinite(column) & (column != np.floor(column)),
+                          lambda i, key=key: f"{key} must be an integer, got {body[i][key]!r}"))
+    for part, label, keys in _KEYPOINT_KEYS:
+        null = [read[key][1] for key in keys]  # some but not all axes null
+        rules.append((np.logical_or.reduce(null) & ~np.logical_and.reduce(null),
+                      lambda i, part=part: f"incomplete keypoint for {part}"))
+        for key in keys:
+            rules += number_rules(key, label)
+    if extras:
+        rules.append((np.logical_or.reduce([not_finite[key] for key in extras]), extras_message))
+    rules.append((np.array([not isinstance(obj.get("session_id"), (str, type(None)))
+                            for obj in body], dtype=bool),
+                  lambda i: f"session_id is not a string: {body[i]['session_id']!r}"))
+    position = read["backing_track_position"][0]
+    clock = np.zeros(len(body), dtype=bool)
+    clock[1:] = ~(position[1:] > position[:-1])
+    rules.append((clock, lambda i: f"backing_track_position {float(position[i])!r} not strictly "
+                                   f"increasing (previous {float(position[i - 1])!r})"))
+    return rules
 
 
 def serialize_session(session: Session) -> str:
@@ -227,29 +216,34 @@ def load_session(path: str | Path) -> Session:
 def parse_beat_grid(data: bytes | str) -> BeatGrid:
     """Parse the beat-grid document and enforce every BeatGrid invariant.
 
+    The onset lists are arrays; they and the scalars hold finite numbers.
+
     Raises:
-        MalformedDocument: Bad JSON, missing keys, or mistyped values.
+        MalformedDocument: Bad JSON, a ``NaN``/``Infinity`` literal, or a
+            missing or mistyped field, which the message names.
         InvariantError: Onset lists not strictly increasing, or a bar time
             that is not on a beat (raised from BeatGrid construction).
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"not valid JSON: {exc}") from exc
+    obj = _decode(data)
     if not isinstance(obj, dict):
         raise MalformedDocument("beat grid document is not an object")
-    try:
-        beats = tuple(float(v) for v in obj["beats_s"])
-        bars = tuple(float(v) for v in obj["bars_s"])
-        tempo = float(obj["tempo_bpm"])
-        duration = float(obj["duration_s"])
-        rate = int(obj["audio_sample_rate_hz"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedDocument(f"beat grid field invalid: {exc}") from exc
-    return BeatGrid(beat_times=beats, bar_times=bars, tempo_bpm=tempo,
-                    duration_s=duration, audio_sample_rate_hz=rate)
+    fields, scalars = {}, ("tempo_bpm", "duration_s", "audio_sample_rate_hz")
+    for key in ("beats_s", "bars_s", *scalars):  # an absent field reads as null
+        values = [obj.get(key)] if key in scalars else obj.get(key)
+        if not isinstance(values, list):
+            raise MalformedDocument(f"beat grid field {key} is not an array: {values!r}")
+        fields[key] = _float_column(values)[0]
+        bad = np.flatnonzero(~np.isfinite(fields[key]))
+        if bad.size:
+            raise MalformedDocument(f"beat grid field {key} is not a finite number: "
+                                    f"{values[bad[0]]!r}")
+    tempo, duration, rate = (float(fields[key][0]) for key in scalars)
+    if not rate.is_integer():
+        raise MalformedDocument(f"beat grid field audio_sample_rate_hz must be an integer, "
+                                f"got {rate!r}")
+    return BeatGrid(beat_times=tuple(fields["beats_s"].tolist()),
+                    bar_times=tuple(fields["bars_s"].tolist()), tempo_bpm=tempo,
+                    duration_s=duration, audio_sample_rate_hz=int(rate))
 
 
 def load_bundled_beat_grid() -> BeatGrid:

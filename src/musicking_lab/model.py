@@ -162,19 +162,25 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _float_column(values: list) -> tuple[np.ndarray, list[int]]:
-    """Numbers or None as a float array (None -> NaN, too large -> +-inf),
-    plus the indices of the other values, which read 0.0."""
-    wrong: list[int] = []
-    if not set(map(type, values)) <= {int, float, type(None)}:
-        wrong = [i for i, v in enumerate(values) if v is not None and not _is_number(v)]
-        values = list(values)
-        for i in wrong:
-            values[i] = 0.0
+def _float_column(values: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values as a float array (too large -> +-inf), with the mask of those
+    that are None and the mask of those that are not numbers; both read NaN.
+    A value in neither mask that is not finite is a number that is not."""
+    types = set(map(type, values))
+    if types <= {int, float, type(None)}:
+        wrong = np.zeros(len(values), dtype=bool)
+    else:
+        wrong = np.array([v is not None and not _is_number(v) for v in values], dtype=bool)
+        values = [None if w else v for v, w in zip(values, wrong.tolist())]
     try:
-        return np.array(values, dtype=float), wrong
+        array = np.array(values, dtype=float)
     except OverflowError:  # an integer beyond the range of a double
-        return np.array([v if v is None else _to_float(v) for v in values], dtype=float), wrong
+        array = np.array([v if v is None else _to_float(v) for v in values], dtype=float)
+    null = np.isnan(array)
+    if types - {int, type(None)}:  # a number may be NaN: tell the None apart
+        nan = np.flatnonzero(null)
+        null[nan] = [values[i] is None for i in nan.tolist()]
+    return array, null & ~wrong, wrong
 
 
 def _to_float(value) -> float:
@@ -228,13 +234,12 @@ class Session:
                                          [None if p is None else getattr(p, axis) for p in column])
         columns = {}
         for name, (label, values) in raw.items():
-            columns[name], wrong = _float_column(values)
+            columns[name], null, wrong = _float_column(values)
             # A NaN would read back as null, which is None here.
-            wrong = wrong or [i for i in np.flatnonzero(np.isnan(columns[name])).tolist()
-                              if values[i] is not None]
-            if wrong:
-                raise InvariantError(f"record {wrong[0]}: {label} is not a number: "
-                                     f"{values[wrong[0]]!r}")
+            bad = wrong | (np.isnan(columns[name]) & ~null)
+            if bad.any():
+                i = int(bad.argmax())
+                raise InvariantError(f"record {i}: {label} is not a number: {values[i]!r}")
         # A keypoint has all three axes or none, as ingest requires of a file.
         incomplete = np.array([present & (np.isnan(x) | np.isnan(y) | np.isnan(confidence))
                                for x, y, confidence, present
@@ -283,18 +288,19 @@ class Session:
     def __repr__(self) -> str:
         return f"Session(session_id={self.session_id!r}, records=<{len(self)} records>)"
 
-    def _build_records(self) -> tuple[Record, ...]:
-        scalars = [_as_list(self._columns[name], name in _INTEGER_FIELDS)
-                   for name in _SCALAR_FIELDS]
-        parts = [(part, *(a.tolist() for a in _part(self._columns, part)))
-                 for part in SKELETON_PARTS]
+    def _build_records(self, rows: np.ndarray) -> list[Record]:
+        """The Records of the given row indices, each built from its own row
+        of the columns alone."""
+        columns = {name: column[rows] for name, column in self._columns.items()}
+        scalars = [_as_list(columns[name], name in _INTEGER_FIELDS) for name in _SCALAR_FIELDS]
+        parts = [(part, *(a.tolist() for a in _part(columns, part))) for part in SKELETON_PARTS]
         records = []
-        for i, values in enumerate(zip(*scalars)):
+        for i, (row, values) in enumerate(zip(rows.tolist(), zip(*scalars))):
             keypoints = {part: Keypoint(x[i], y[i], confidence[i])
                          for part, x, y, confidence, present in parts if present[i]}
-            extras = {key: v[i] for key, v in self._extras.items() if v[i] is not _ABSENT}
+            extras = {key: v[row] for key, v in self._extras.items() if v[row] is not _ABSENT}
             records.append(Record(*values, keypoints=keypoints, extras=extras))
-        return tuple(records)
+        return records
 
 
 class _RecordView(Sequence):
@@ -312,7 +318,7 @@ class _RecordView(Sequence):
 
     def __getitem__(self, index):
         if self._items is None:
-            self._items = self._session._build_records()
+            self._items = tuple(self._session._build_records(np.arange(len(self))))
         return self._items[index]
 
     def __eq__(self, other) -> bool:
@@ -436,16 +442,16 @@ def _column(session: Session, name: str) -> np.ndarray:
     :func:`column_values`."""
     if name in _ALIASES:
         return session._columns[_ALIASES[name]]
-    array, _ = _float_column(_extras_values(session, name))
+    array, _, _ = _float_column(_extras(session, name))
     array.flags.writeable = False
     return array
 
 
-def _extras_values(session: Session, name: str) -> list:
+def _extras(session: Session, name: str) -> tuple:
     values = session._extras.get(name)
     if values is None:
         raise UnknownColumn(f"unknown column: {name!r}")
-    return [v if _is_number(v) else None for v in values]
+    return values
 
 
 def column_values(session: Session, name: str) -> list[float | None]:
@@ -463,7 +469,7 @@ def column_values(session: Session, name: str) -> list[float | None]:
     """
     if name in _ALIASES:
         return _as_list(_column(session, name), _ALIASES[name] in _INTEGER_FIELDS)
-    return _extras_values(session, name)
+    return [v if _is_number(v) else None for v in _extras(session, name)]
 
 
 # -- validation ------------------------------------------------------------
@@ -511,8 +517,8 @@ def validate_record(record: Record) -> list[str]:
 def validate_session(session: Session) -> list[str]:
     """Session-level invariants plus per-record violations with indices.
 
-    Array masks find the records with a violation; only those are checked
-    by :func:`validate_record`, which words the messages.
+    Array masks find the records with a violation; only those records are
+    built and checked by :func:`validate_record`, which words the messages.
     """
     if not len(session):
         return ["records empty"]
@@ -529,10 +535,12 @@ def validate_session(session: Session) -> list[str]:
         x, y, confidence, present = _part(columns, part)
         bad |= present & (~((confidence >= 0.0) & (confidence <= 1.0)) | (x < SENTINEL)
                           | (y < SENTINEL) | ((x == SENTINEL) != (y == SENTINEL)))
+    flagged = np.flatnonzero(bad)
+    records = dict(zip(flagged.tolist(), session._build_records(flagged)))
     violations: list[str] = []
     for i in np.flatnonzero(clock | bad).tolist():
         if clock[i]:
             violations.append(f"position not strictly increasing at index {i}")
         if bad[i]:
-            violations.extend(f"record {i}: {v}" for v in validate_record(session.records[i]))
+            violations.extend(f"record {i}: {v}" for v in validate_record(records[i]))
     return violations

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._series import as_array, as_list, nonnull
+from ._series import as_array, nonnull
 from .errors import AllMissing, TooFewValues
 from .model import (
     SKELETON_AXES,
@@ -22,6 +22,7 @@ from .model import (
     ColumnQuality,
     QualityReport,
     Session,
+    _as_list,
     _column,
     canonical_columns,
     column_values,
@@ -150,7 +151,7 @@ def interpolate_gaps(values: Sequence[float | None], max_gap: int) -> list[float
                 t = (offset + 1) / (run + 1)
                 out[i + offset] = left + t * (right - left)
         i = j
-    return as_list(out)
+    return _as_list(out, False)
 
 
 def sentinel_scan(session: Session,

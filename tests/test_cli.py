@@ -190,6 +190,22 @@ class TestSettings:
         assert len(lines) == 1 and lines[0].startswith("ERROR") and "finite" in lines[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, config_text", [(["--seed", "-1"], ""), ([], "seed=-1\n")],
+                             ids=["flag", "config"])
+    def test_negative_seed_refused_before_writing(self, tmp_path, grid, argv, config_text):
+        (session_id,) = write_corpus(tmp_path / "data", grid, count=1, tail_count=4)
+        cfg = tmp_path / "musicking.conf"
+        cfg.write_text(config_text)
+        proc = _run_module(["cluster", "--session", session_id, "--dataset",
+                            str(tmp_path / "data"), "--out", str(tmp_path / "out"),
+                            "--config", str(cfg), *argv])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.replace(str(tmp_path), "<tmp>").strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR")
+        assert "seed" in lines[0] and "-1" in lines[0]
+        assert not (tmp_path / "out").exists()
+
 
 class TestCmdValidate:
     def test_clean_corpus_exit_zero(self, tmp_path, grid):
@@ -412,6 +428,33 @@ def _run_module(argv) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(musicking_lab.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "musicking_lab.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+class TestBadBeatGrid:
+    @pytest.mark.parametrize("field, literal, message", [
+        ("audio_sample_rate_hz", "1e400", "beat grid field audio_sample_rate_hz"),
+        ("duration_s", "1" + "0" * 5000, "not valid JSON"),
+        ("duration_s", "NaN", "non-finite literal NaN"),
+        (None, "[" * 100_000, "not valid JSON"),
+    ], ids=["rate overflows", "integer too long", "NaN literal", "nested too deeply"])
+    def test_exit_one_with_one_line(self, tmp_path, grid, field, literal, message):
+        write_corpus(tmp_path / "data", grid, count=1, tail_count=4)
+        path = tmp_path / "grid.json"
+        if field is None:
+            path.write_text(literal)
+        else:
+            payload = {"tempo_bpm": grid.tempo_bpm, "duration_s": grid.duration_s,
+                       "audio_sample_rate_hz": grid.audio_sample_rate_hz,
+                       "beats_s": list(grid.beat_times), "bars_s": list(grid.bar_times),
+                       field: "HERE"}
+            path.write_text(json.dumps(payload).replace('"HERE"', literal))
+        proc = _run_module(["analyze", "--session", "synth0000", "--grid", str(path),
+                            "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR") and message in lines[0]
+        assert not (tmp_path / "out").exists()
 
 
 class TestFiniteButHugeValues:

@@ -244,6 +244,31 @@ class TestParseBeatGrid:
         with pytest.raises(MalformedDocument):
             parse_beat_grid(b"[1,2")
 
+    @pytest.mark.parametrize("field, literal", [
+        ("audio_sample_rate_hz", "1e400"),
+        ("tempo_bpm", "-1e999"),
+        ("duration_s", "null"),
+        ("tempo_bpm", '"60"'),
+        ("beats_s", '"0123"'),
+        ("beats_s", "[false, true]"),
+        ("bars_s", "[0.5, null]"),
+        ("audio_sample_rate_hz", "44100.7"),
+    ])
+    def test_field_that_is_not_a_finite_number_named(self, field, literal):
+        payload = {"tempo_bpm": 60.0, "duration_s": 2.0, "audio_sample_rate_hz": 22050,
+                   "beats_s": [0.5, 1.5], "bars_s": [0.5], field: "HERE"}
+        with pytest.raises(MalformedDocument, match=f"beat grid field {field} "):
+            parse_beat_grid(json.dumps(payload).replace('"HERE"', literal))
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"duration_s": NaN}', "non-finite literal NaN"),
+        ("[" * 100_000 + "]" * 100_000, "not valid JSON"),
+        ('{"duration_s": 1' + "0" * 5000 + "}", "not valid JSON"),
+    ], ids=["NaN literal", "nested too deeply", "integer too long"])
+    def test_read_with_the_session_decoder(self, text, message):
+        with pytest.raises(MalformedDocument, match=message):
+            parse_beat_grid(text)
+
 
 def _write_rows(path, session_id, n=3, **extra):
     rows = [{"backing_track_position": i * 130.0, "session_id": session_id,
@@ -672,9 +697,12 @@ class TestFirstFailingRow:
          SchemaError, "row 0: required field backing_track_position missing"),
         ([{"backing_track_position": 0}, {"backing_track_position": 130, "session_id": 5}],
          SchemaError, "row 1: session_id is not a string: 5"),
+        ([{"backing_track_position": 0, "a": 1, "b": 1},
+          {"backing_track_position": 1, "b": "HUGE", "a": "HUGE"}],
+         SchemaError, "row 1: b is not finite"),
     ], ids=["clock before non-finite", "non-finite before clock", "same row",
             "clock before non-object", "non-object before clock", "no clock in the first row",
-            "session id not a string"])
+            "session id not a string", "extras in the row's own key order"])
     def test_reported_row_and_message(self, rows, error, message):
         with pytest.raises(error) as excinfo:
             parse_session_file(doc(rows).replace('"HUGE"', "1e400"))
@@ -685,29 +713,38 @@ _BREAK_LITERALS = ["1e400", "-1e999", "1" + "0" * 400, '"text"', "true", "[]", "
                    "null"]
 _BREAK_KEYS = ["backing_track_position", "sync_delta", "sync_chorus_id", "flow",
                "hardware_bitalino_eda", "hardware_brainbit_eeg_o2", "hardware_skeleton_nose_x",
-               "hardware_skeleton_l_ear_confidence", "session_id", "extra_column"]
+               "hardware_skeleton_l_ear_confidence", "session_id", "extra_column",
+               "other_extra"]
 
 
 @st.composite
 def documents_with_breaks(draw):
     """A small session document with up to three contract breaks of any
-    kind in any rows, as text."""
+    kind in any rows, as text.  The two extras come in either order in
+    each row, and a break may make both non-finite in one row."""
     n = draw(st.integers(1, 6))
     rows, position = [], 0.0
     for step in draw(st.lists(st.floats(1.0, 400.0), min_size=n, max_size=n)):
         position += step
+        extras = ["extra_column", "other_extra"]
+        if draw(st.booleans()):
+            extras.reverse()
         rows.append({"session_id": "fz", "backing_track_position": position, "flow": 3,
                      "hardware_skeleton_nose_x": 1.0, "hardware_skeleton_nose_y": 2.0,
-                     "hardware_skeleton_nose_confidence": 0.5, "extra_column": 1})
+                     "hardware_skeleton_nose_confidence": 0.5, **dict.fromkeys(extras, 1)})
     literals = []
     for _ in range(draw(st.integers(0, 3))):
         row = draw(st.integers(0, n - 1))
-        kind = draw(st.sampled_from(["value", "clock", "drop", "row"]))
+        kind = draw(st.sampled_from(["value", "extras", "clock", "drop", "row"]))
         if not isinstance(rows[row], dict):
             continue
         if kind == "value":
             rows[row][draw(st.sampled_from(_BREAK_KEYS))] = f"BREAK{len(literals)}"
             literals.append(draw(st.sampled_from(_BREAK_LITERALS)))
+        elif kind == "extras":  # both non-finite: the row's key order names one
+            for key in ("extra_column", "other_extra"):
+                rows[row][key] = f"BREAK{len(literals)}"
+                literals.append(draw(st.sampled_from(_BREAK_LITERALS[:3])))
         elif kind == "clock" and row > 0 and isinstance(rows[row - 1], dict):
             rows[row]["backing_track_position"] = rows[row - 1].get("backing_track_position")
         elif kind == "drop":
@@ -732,4 +769,17 @@ class TestColumnChecksOracle:
             return
         with pytest.raises((MalformedDocument, SchemaError)) as excinfo:
             parse_session_file(text)
+        assert (type(excinfo.value).__name__, str(excinfo.value)) == expected
+
+    @pytest.mark.parametrize("key", ["sync_delta", "hardware_skeleton_nose_y", "extra_column"],
+                             ids=["canonical column", "keypoint axis", "extra"])
+    def test_nan_in_decoded_rows_is_not_finite(self, key):
+        rows = [{"backing_track_position": 0.0},
+                {"backing_track_position": 130.0, "hardware_skeleton_nose_x": 1.0,
+                 "hardware_skeleton_nose_y": 2.0, "hardware_skeleton_nose_confidence": 0.5,
+                 key: math.nan}]
+        expected = oracle_parse_error(rows)
+        assert expected[1].startswith("row 1: ") and expected[1].endswith(" is not finite")
+        with pytest.raises(SchemaError) as excinfo:
+            parse_session_file(rows)
         assert (type(excinfo.value).__name__, str(excinfo.value)) == expected

@@ -102,6 +102,20 @@ class TestValidateSession:
         s = session_of([0, 130], chorus=[None, 42])
         assert validate_session(s) == ["record 1: chorus_id not in {0..5,999}"]
 
+    def test_only_flagged_records_built(self, monkeypatch):
+        s = session_of([130.0 * i for i in range(500)],
+                       chorus=[42 if i in (100, 400) else 1 for i in range(500)])
+        built = []
+
+        def counting_record(*args, **kwargs):
+            built.append(args[0])
+            return Record(*args, **kwargs)
+
+        monkeypatch.setattr("musicking_lab.model.Record", counting_record)
+        assert validate_session(s) == ["record 100: chorus_id not in {0..5,999}",
+                                       "record 400: chorus_id not in {0..5,999}"]
+        assert built == [13000.0, 52000.0]
+
     @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=30))
     def test_clean_validation_implies_increasing_diffs(self, positions):
         s = session_of(positions)
