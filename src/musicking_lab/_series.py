@@ -18,3 +18,14 @@ def as_array(values: Sequence[float | None]) -> np.ndarray:
 
 def nonnull(arr: np.ndarray) -> np.ndarray:
     return arr[~np.isnan(arr)]
+
+
+def runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and exclusive ends of the maximal runs of equal values.
+
+    NaN equals nothing, so each null is a run of its own; an empty array
+    has no runs.
+    """
+    change = np.flatnonzero(arr[1:] != arr[:-1]) + 1
+    starts, ends = np.r_[0, change], np.r_[change, arr.size]
+    return (starts, ends) if arr.size else (starts[:0], ends[:0])

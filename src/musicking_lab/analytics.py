@@ -3,7 +3,9 @@ and skeleton activity summaries.
 
 Series arguments accept ``None``/NaN for missing values.  Correlations use
 pairwise-complete deletion, which preserves nearly everything at this
-dataset's sub-percent missingness.
+dataset's sub-percent missingness.  A null compares false with every value,
+so nulls split a series: no peak sits next to one, and no prominence walk
+crosses one.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._series import as_array, nonnull
+from ._series import as_array, nonnull, runs
 from .errors import (
     DegenerateSeries,
     EmptySeries,
@@ -151,92 +153,59 @@ def seconds_to_samples(seconds: float, rate_hz: float) -> int:
     return max(1, round(seconds * rate_hz))
 
 
-def _segments(arr: np.ndarray) -> list[tuple[int, int]]:
-    """Contiguous non-NaN index ranges [start, end)."""
-    segments = []
-    start = None
-    for i, v in enumerate(arr):
-        if math.isnan(v):
-            if start is not None:
-                segments.append((start, i))
-                start = None
-        elif start is None:
-            start = i
-    if start is not None:
-        segments.append((start, arr.size))
-    return segments
+def _prominence(arr: list[float], peak: int) -> float:
+    """Topographic prominence of a peak.
 
-
-def _plateau_maxima(arr: np.ndarray, lo: int, hi: int) -> list[int]:
-    """Leftmost indices of local maxima in arr[lo:hi] (plateau-aware)."""
-    maxima = []
-    i = lo + 1
-    while i < hi:
-        if arr[i] > arr[i - 1]:
-            j = i
-            while j + 1 < hi and arr[j + 1] == arr[i]:
-                j += 1
-            if j + 1 < hi and arr[j + 1] < arr[i]:
-                maxima.append(i)
-            i = j + 1
-        else:
-            i += 1
-    return maxima
-
-
-def _prominence(arr: np.ndarray, peak: int, lo: int, hi: int) -> float:
-    """Topographic prominence within the segment [lo, hi).
-
-    Walk each way until a strictly higher sample or the segment edge; the
+    Walk each way until a strictly higher sample, a null or the edge; the
     higher of the two interval minima is the peak's lowest contour line.
     """
     height = arr[peak]
     left_min = height
     i = peak - 1
-    while i >= lo and arr[i] <= height:
+    while i >= 0 and arr[i] <= height:
         left_min = min(left_min, arr[i])
         i -= 1
     right_min = height
     i = peak + 1
-    while i < hi and arr[i] <= height:
+    while i < len(arr) and arr[i] <= height:
         right_min = min(right_min, arr[i])
         i += 1
-    return float(height - max(left_min, right_min))
+    return height - max(left_min, right_min)
 
 
 def detect_peaks(values: Sequence[float | None], min_distance_samples: int = 1,
                  min_prominence: float = 0.0) -> PeakSet:
     """Find local maxima, suppress crowded ones, then filter by prominence.
 
-    A peak rises strictly out of its left neighbor and does not rise into
-    its right one; plateaus report their leftmost sample.  When two peaks
-    are closer than ``min_distance_samples`` the higher survives (greedy,
-    by height).  Distance suppression runs before the prominence filter so
-    that raising ``min_prominence`` can only remove peaks, never reveal
-    new ones.  Nulls split the series; prominence walks stop at the splits.
+    A peak is the first sample of a run of equal values whose neighboring
+    runs are both lower: a plateau reports its leftmost sample, and a run at
+    an edge is no peak.  When two peaks are closer than
+    ``min_distance_samples`` the higher survives (greedy, by height, ties to
+    the earlier).  Distance suppression runs before the prominence filter so
+    that raising ``min_prominence`` can only remove peaks, never reveal new ones.
     """
     if min_distance_samples < 1:
         raise ValueError(f"min_distance_samples must be >= 1, got {min_distance_samples}")
     if min_prominence < 0:
         raise ValueError(f"min_prominence must be >= 0, got {min_prominence}")
     arr = as_array(values)
+    starts, _ = runs(arr)
+    level = arr[starts]
+    candidates = starts[1:-1][(level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])]
 
-    candidates: list[int] = []
-    prominence_at: dict[int, float] = {}
-    for lo, hi in _segments(arr):
-        for peak in _plateau_maxima(arr, lo, hi):
-            candidates.append(peak)
-            prominence_at[peak] = _prominence(arr, peak, lo, hi)
-
+    near_kept = np.zeros(arr.size, dtype=bool)
     kept: list[int] = []
-    for peak in sorted(candidates, key=lambda p: (-arr[p], p)):
-        if all(abs(peak - other) >= min_distance_samples for other in kept):
+    for peak in candidates[np.argsort(-arr[candidates], kind="stable")].tolist():
+        if not near_kept[peak]:
             kept.append(peak)
+            near_kept[max(0, peak - min_distance_samples + 1):peak + min_distance_samples] = True
 
-    final = sorted(p for p in kept if prominence_at[p] >= min_prominence)
+    series = arr.tolist()
+    prominences = {p: _prominence(series, p) for p in sorted(kept)}
+    final = {p: q for p, q in prominences.items() if q >= min_prominence}
     return PeakSet(
         indices=tuple(final),
-        prominences=tuple(prominence_at[p] for p in final),
+        prominences=tuple(final.values()),
         min_distance_samples=min_distance_samples,
         min_prominence=min_prominence,
     )
@@ -245,13 +214,9 @@ def detect_peaks(values: Sequence[float | None], min_distance_samples: int = 1,
 def _midranks(v: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
     order = np.argsort(v, kind="stable")
-    sorted_v = v[order]
-    boundaries = np.flatnonzero(np.r_[True, sorted_v[1:] != sorted_v[:-1], True])
-    ranks_sorted = np.empty(v.size)
-    for start, end in zip(boundaries[:-1], boundaries[1:]):
-        ranks_sorted[start:end] = 0.5 * (start + end - 1) + 1.0
+    starts, ends = runs(v[order])
     ranks = np.empty(v.size)
-    ranks[order] = ranks_sorted
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks
 
 

@@ -209,7 +209,10 @@ def _ensure_writable(directory: str) -> Path:
 def _load_grid(config: RunConfig) -> BeatGrid:
     if config.beat_grid_path is None:
         return load_bundled_beat_grid()
-    return parse_beat_grid(Path(config.beat_grid_path).read_bytes())
+    try:
+        return parse_beat_grid(Path(config.beat_grid_path).read_bytes())
+    except MusickingError as exc:  # named like a skipped session file
+        raise type(exc)(f"{config.beat_grid_path}: {exc}") from None
 
 
 def _find_session(config: RunConfig, session_id: str) -> Session:

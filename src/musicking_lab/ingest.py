@@ -221,8 +221,9 @@ def parse_beat_grid(data: bytes | str) -> BeatGrid:
     Raises:
         MalformedDocument: Bad JSON, a ``NaN``/``Infinity`` literal, or a
             missing or mistyped field, which the message names.
-        InvariantError: Onset lists not strictly increasing, or a bar time
-            that is not on a beat (raised from BeatGrid construction).
+        InvariantError: No beat, a tempo, duration or sample rate not above
+            zero, onset lists not strictly increasing, or a bar time that is
+            not on a beat (raised from BeatGrid construction).
     """
     obj = _decode(data)
     if not isinstance(obj, dict):

@@ -335,7 +335,8 @@ class BeatGrid:
     """Beat and bar onsets of the shared backing track, in seconds.
 
     Bars begin on beats and, in this dataset's 4/4 meter, fall on every
-    4th beat starting from the first.  Construction enforces that shape so
+    4th beat starting from the first.  Construction enforces that shape, at
+    least one beat, and a tempo, duration and sample rate above zero, so
     downstream alignment can trust any grid instance.
     """
 
@@ -346,6 +347,11 @@ class BeatGrid:
     audio_sample_rate_hz: int
 
     def __post_init__(self):
+        if not self.beat_times:
+            raise InvariantError("beat_times is empty")
+        for name in ("tempo_bpm", "duration_s", "audio_sample_rate_hz"):
+            if not getattr(self, name) > 0:
+                raise InvariantError(f"{name} must be > 0, got {getattr(self, name)!r}")
         for name, times in (("beat_times", self.beat_times), ("bar_times", self.bar_times)):
             for a, b in zip(times, times[1:]):
                 if not b > a:

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._series import as_array, nonnull
+from ._series import as_array, nonnull, runs
 from .errors import AllMissing, TooFewValues
 from .model import (
     SKELETON_AXES,
@@ -123,7 +123,7 @@ def impute_median(values: Sequence[float | None]) -> list[float | None]:
     if clean.size == 0:
         raise AllMissing("cannot impute an all-null series")
     median = float(np.median(clean))
-    return [median if np.isnan(x) else float(x) for x in arr]
+    return np.where(np.isnan(arr), median, arr).tolist()
 
 
 def interpolate_gaps(values: Sequence[float | None], max_gap: int) -> list[float | None]:
@@ -134,23 +134,14 @@ def interpolate_gaps(values: Sequence[float | None], max_gap: int) -> list[float
     """
     arr = as_array(values)
     out = arr.copy()
-    n = arr.size
-    i = 0
-    while i < n:
-        if not np.isnan(arr[i]):
-            i += 1
-            continue
-        j = i
-        while j < n and np.isnan(arr[j]):
-            j += 1
-        run = j - i
-        interior = i > 0 and j < n
-        if interior and run <= max_gap:
-            left, right = arr[i - 1], arr[j]
-            for offset in range(run):
-                t = (offset + 1) / (run + 1)
-                out[i + offset] = left + t * (right - left)
-        i = j
+    starts, ends = runs(np.isnan(arr))
+    size = ends - starts
+    fill = np.isnan(arr[starts]) & (starts > 0) & (ends < arr.size) & (size <= max_gap)
+    index = np.flatnonzero(np.repeat(fill, size))
+    first, run = np.repeat(starts[fill], size[fill]), np.repeat(size[fill], size[fill])
+    left, right = arr[first - 1], arr[first + run]
+    t = (index - first + 1) / (run + 1)
+    out[index] = left + t * (right - left)
     return _as_list(out, False)
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
+from ._series import runs
 from .errors import MissingChorusIds, OutOfTrack, TooFewBeats, TooFewRecords
 from .model import (
     NONPERFORMANCE_CHORUS_IDS,
@@ -129,14 +130,11 @@ def segment_choruses(session: Session) -> list[ChorusSegment]:
     chorus = _column(session, "chorus_id")
     if np.isnan(chorus).any():
         raise MissingChorusIds("chorus_id missing on some records")
-    change = np.ones(len(chorus), dtype=bool)
-    change[1:] = chorus[1:] != chorus[:-1]
-    starts = np.flatnonzero(change).tolist()
-    ends = [start - 1 for start in starts[1:]] + [len(chorus) - 1]
+    starts, ends = (bounds.tolist() for bounds in runs(chorus))
     ids = column_values(session, "chorus_id")
     positions = _column(session, "backing_track_position").tolist()
-    return [ChorusSegment(chorus_id=ids[start], start_index=start, end_index=end,
-                          start_ms=positions[start], end_ms=positions[end],
+    return [ChorusSegment(chorus_id=ids[start], start_index=start, end_index=end - 1,
+                          start_ms=positions[start], end_ms=positions[end - 1],
                           performance=ids[start] in PERFORMANCE_CHORUS_IDS)
             for start, end in zip(starts, ends)]
 

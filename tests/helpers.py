@@ -421,3 +421,101 @@ def oracle_parse_error(rows) -> tuple[str, str] | None:
                                    f"strictly increasing (previous {previous!r})")
         previous = position
     return None
+
+
+# -- loop implementations that the run finder replaced ----------------------
+#
+# Sample-by-sample scans kept as written before `_series.runs` took over
+# run boundaries; the vectorized paths must match them exactly.
+
+def _reference_segments(arr: np.ndarray) -> list[tuple[int, int]]:
+    """Contiguous non-NaN index ranges [start, end)."""
+    segments = []
+    start = None
+    for i, v in enumerate(arr):
+        if math.isnan(v):
+            if start is not None:
+                segments.append((start, i))
+                start = None
+        elif start is None:
+            start = i
+    if start is not None:
+        segments.append((start, arr.size))
+    return segments
+
+
+def _reference_plateau_maxima(arr: np.ndarray, lo: int, hi: int) -> list[int]:
+    """Leftmost indices of local maxima in arr[lo:hi] (plateau-aware)."""
+    maxima = []
+    i = lo + 1
+    while i < hi:
+        if arr[i] > arr[i - 1]:
+            j = i
+            while j + 1 < hi and arr[j + 1] == arr[i]:
+                j += 1
+            if j + 1 < hi and arr[j + 1] < arr[i]:
+                maxima.append(i)
+            i = j + 1
+        else:
+            i += 1
+    return maxima
+
+
+def _reference_prominence(arr: np.ndarray, peak: int, lo: int, hi: int) -> float:
+    """Topographic prominence within the segment [lo, hi)."""
+    height = arr[peak]
+    left_min = height
+    i = peak - 1
+    while i >= lo and arr[i] <= height:
+        left_min = min(left_min, arr[i])
+        i -= 1
+    right_min = height
+    i = peak + 1
+    while i < hi and arr[i] <= height:
+        right_min = min(right_min, arr[i])
+        i += 1
+    return float(height - max(left_min, right_min))
+
+
+def reference_detect_peaks(values, min_distance_samples: int = 1,
+                           min_prominence: float = 0.0) -> tuple[tuple, tuple]:
+    """(indices, prominences) of detect_peaks by segment and plateau scans."""
+    arr = np.array(values, dtype=float)
+    candidates: list[int] = []
+    prominence_at: dict[int, float] = {}
+    for lo, hi in _reference_segments(arr):
+        for peak in _reference_plateau_maxima(arr, lo, hi):
+            candidates.append(peak)
+            prominence_at[peak] = _reference_prominence(arr, peak, lo, hi)
+
+    kept: list[int] = []
+    for peak in sorted(candidates, key=lambda p: (-arr[p], p)):
+        if all(abs(peak - other) >= min_distance_samples for other in kept):
+            kept.append(peak)
+
+    final = sorted(p for p in kept if prominence_at[p] >= min_prominence)
+    return tuple(final), tuple(prominence_at[p] for p in final)
+
+
+def reference_interpolate_gaps(values, max_gap: int) -> list:
+    """interpolate_gaps by a scan for null runs, filled one sample at a time."""
+    arr = np.array(values, dtype=float)
+    out = arr.copy()
+    n = arr.size
+    i = 0
+    while i < n:
+        if not np.isnan(arr[i]):
+            i += 1
+            continue
+        j = i
+        while j < n and np.isnan(arr[j]):
+            j += 1
+        run = j - i
+        interior = i > 0 and j < n
+        if interior and run <= max_gap:
+            left, right = arr[i - 1], arr[j]
+            for offset in range(run):
+                t = (offset + 1) / (run + 1)
+                out[i + offset] = left + t * (right - left)
+        i = j
+    return [None if v != v else v for v in out.tolist()]

@@ -12,6 +12,7 @@ from helpers import (
     oracle_prominence,
     oracle_quantile,
     oracle_ranks,
+    reference_detect_peaks,
     sentinel_kp,
     session_of,
 )
@@ -203,6 +204,20 @@ class TestDetectPeaks:
     def test_matches_naive_pipeline(self, values, dist, prom):
         assert list(detect_peaks(values, dist, prom).indices) == \
                naive_detect(values, dist, prom)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.none() | st.integers(0, 6) | st.sampled_from([2.5, -0.0, -math.inf])
+                    | st.floats(allow_nan=False), max_size=40),
+           st.integers(1, 6), st.sampled_from([0.0, 0.5, 3.0]) | st.floats(0, 1e308))
+    def test_matches_scans_with_nulls(self, values, dist, prom):
+        # nulls, plateaus, non-integral values and +-inf, against the
+        # segment and plateau scans; numpy scalar overflow warnings of the
+        # scans are not under test
+        peaks = detect_peaks(values, dist, prom)
+        with np.errstate(all="ignore"):
+            indices, prominences = reference_detect_peaks(values, dist, prom)
+        assert peaks.indices == indices
+        assert [repr(p) for p in peaks.prominences] == [repr(p) for p in prominences]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 8).map(float), min_size=3, max_size=25),

@@ -454,6 +454,33 @@ class TestBadBeatGrid:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR") and message in lines[0]
+        assert str(path) in lines[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "cluster"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("beats_s", [], "beat_times is empty"),
+        ("tempo_bpm", 0, "tempo_bpm must be > 0"),
+        ("duration_s", -3, "duration_s must be > 0"),
+        ("audio_sample_rate_hz", 0, "audio_sample_rate_hz must be > 0"),
+    ], ids=["no beats", "zero tempo", "negative duration", "zero sample rate"])
+    def test_unalignable_grid_is_refused(self, tmp_path, grid, command, field, value, message):
+        write_corpus(tmp_path / "data", grid, count=1, tail_count=4)
+        payload = {"tempo_bpm": grid.tempo_bpm, "duration_s": grid.duration_s,
+                   "audio_sample_rate_hz": grid.audio_sample_rate_hz,
+                   "beats_s": list(grid.beat_times), "bars_s": list(grid.bar_times)}
+        payload[field] = value
+        if field == "beats_s":
+            payload["bars_s"] = []
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(payload))
+        proc = _run_module([command, "--session", "synth0000", "--grid", str(path),
+                            "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR")
+        assert str(path) in lines[0] and message in lines[0]
         assert not (tmp_path / "out").exists()
 
 

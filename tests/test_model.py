@@ -151,6 +151,19 @@ class TestBeatGrid:
                      tempo_bpm=60.0, duration_s=6.0, audio_sample_rate_hz=22050)
         assert g.n_bars == 2
 
+    def test_empty_beats_rejected(self):
+        with pytest.raises(InvariantError, match="beat_times is empty"):
+            BeatGrid(beat_times=(), bar_times=(), tempo_bpm=60.0,
+                     duration_s=10.0, audio_sample_rate_hz=22050)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tempo_bpm", 0.0), ("tempo_bpm", math.nan), ("duration_s", -3.0),
+        ("duration_s", 0.0), ("audio_sample_rate_hz", 0), ("audio_sample_rate_hz", -22050)])
+    def test_scalars_must_be_above_zero(self, field, value):
+        fields = dict(tempo_bpm=60.0, duration_s=10.0, audio_sample_rate_hz=22050)
+        with pytest.raises(InvariantError, match=f"{field} must be > 0"):
+            BeatGrid(beat_times=(0.0,), bar_times=(0.0,), **{**fields, field: value})
+
 
 class TestColumns:
     def test_canonical_count(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import kp, oracle_quantile, sentinel_kp, session_of
+from helpers import kp, oracle_quantile, reference_interpolate_gaps, sentinel_kp, session_of
 from musicking_lab.errors import AllMissing, TooFewValues
 from musicking_lab.quality import (
     impute_median,
@@ -106,6 +106,12 @@ class TestInterpolateGaps:
 
     def test_two_sample_gap(self):
         assert interpolate_gaps([0, None, None, 3], max_gap=2) == [0, 1, 2, 3]
+
+    @given(st.lists(st.none() | st.floats(-1e300, 1e300), max_size=60), st.integers(-1, 6))
+    def test_matches_sample_scan_exactly(self, values, max_gap):
+        # finite values only: inf - inf would raise an invalid-value warning
+        assert [repr(v) for v in interpolate_gaps(values, max_gap)] == \
+               [repr(v) for v in reference_interpolate_gaps(values, max_gap)]
 
     @given(series_st, st.integers(0, 5))
     def test_null_pattern_and_bounds(self, values, max_gap):
