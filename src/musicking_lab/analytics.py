@@ -125,9 +125,8 @@ def rolling_stat(values: Sequence[float | None], window_samples: int,
     if kind not in ("mean", "variance"):
         raise ValueError(f"kind must be 'mean' or 'variance', got {kind!r}")
     arr = as_array(values)
-    out: list[float | None] = [None] * arr.size
     if arr.size < window_samples:
-        return out
+        return [None] * arr.size
     windows = sliding_window_view(arr, window_samples)
     valid = (~np.isnan(windows)).sum(axis=1)
     with warnings.catch_warnings():
@@ -138,10 +137,7 @@ def rolling_stat(values: Sequence[float | None], window_samples: int,
         else:
             stats = np.nanvar(windows, axis=1, ddof=1)
             enough = valid >= 2
-    for offset, (value, ok) in enumerate(zip(stats, enough)):
-        if ok:
-            out[window_samples - 1 + offset] = float(value)
-    return out
+    return [None] * (window_samples - 1) + np.where(enough, stats, None).tolist()
 
 
 def seconds_to_samples(seconds: float, rate_hz: float) -> int:
@@ -220,16 +216,33 @@ def _midranks(v: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _pearson_rows(xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
+    """Pearson r of each row pair of two C-contiguous (k, m) arrays.
+
+    NaN where r is undefined: zero variance or a non-finite value.  Each
+    row's deviations are scaled by the power of two that brings the largest
+    into [0.5, 1), which is exact, so the sums can neither overflow nor
+    underflow; stacked vector-vector matmuls round as ``np.dot`` does.
+    """
+    with np.errstate(all="ignore"):
+        xd, yd = (v - v.mean(axis=1, keepdims=True) for v in (xv, yv))
+        xd, yd = (np.ldexp(d, -np.frexp(abs(d).max(axis=1, keepdims=True))[1]) for d in (xd, yd))
+        sx, sy, sxy = ((a[:, None, :] @ b[:, :, None])[:, 0, 0]
+                       for a, b in ((xd, xd), (yd, yd), (xd, yd)))
+        return np.clip(sxy / np.sqrt(sx * sy), -1.0, 1.0)
+
+
 def correlate(x: Sequence[float | None], y: Sequence[float | None],
               method: str = "pearson") -> float:
     """Pearson or Spearman coefficient over pairwise-complete pairs.
 
-    Spearman is Pearson on average-tied (midrank) ranks.
+    Spearman is Pearson on average-tied (midrank) ranks.  This is the
+    one-row case of the kernel that ``windowed_correlation`` batches.
 
     Raises:
         TooFewPairs: Fewer than 3 pairwise non-null pairs.
         DegenerateSeries: Zero variance in either input (after ranking,
-            for Spearman).
+            for Spearman), or a non-finite value.
     """
     if method not in ("pearson", "spearman"):
         raise ValueError(f"method must be 'pearson' or 'spearman', got {method!r}")
@@ -239,21 +252,16 @@ def correlate(x: Sequence[float | None], y: Sequence[float | None],
     mask = ~np.isnan(ax) & ~np.isnan(ay)
     if int(mask.sum()) < 3:
         raise TooFewPairs(f"need >= 3 complete pairs, got {int(mask.sum())}")
-    xv, yv = ax[mask], ay[mask]
+    r = float(_correlate_rows(ax[mask][None], ay[mask][None], method)[0])
+    if math.isnan(r):
+        raise DegenerateSeries("zero variance or a non-finite value: correlation undefined")
+    return r
+
+
+def _correlate_rows(xv: np.ndarray, yv: np.ndarray, method: str) -> np.ndarray:
     if method == "spearman":
-        xv, yv = _midranks(xv), _midranks(yv)
-    xd, yd = xv - xv.mean(), yv - yv.mean()
-    sx, sy = float(np.dot(xd, xd)), float(np.dot(yd, yd))
-    if sx == 0.0 or sy == 0.0:
-        raise DegenerateSeries("zero variance: correlation undefined")
-    product = sx * sy
-    if product == 0.0 or math.isinf(product):
-        # the product under/overflowed; split the roots at a 1-ulp cost
-        denominator = math.sqrt(sx) * math.sqrt(sy)
-    else:
-        denominator = math.sqrt(product)
-    r = float(np.dot(xd, yd)) / denominator
-    return max(-1.0, min(1.0, r))
+        xv, yv = (np.array([_midranks(row) for row in v]) for v in (xv, yv))
+    return _pearson_rows(xv, yv)
 
 
 @dataclass(frozen=True)
@@ -292,26 +300,34 @@ def correlation_matrix(columns: Mapping[str, Sequence[float | None]],
 def windowed_correlation(x: Sequence[float | None], y: Sequence[float | None],
                          window_samples: int, step_samples: int = 1,
                          method: str = "pearson") -> list[tuple[int, float | None]]:
-    """Correlation over each window [i, i + w); degenerate windows give None.
+    """Correlation over each window [i, i + w), as ``correlate`` gives it.
 
     Only full windows are evaluated; windows start every ``step_samples``.
+    A window of fewer than 3 complete pairs, zero variance or a non-finite
+    value gives None.  Windows with equal counts of complete pairs go
+    through ``correlate``'s kernel as one batch.
     """
     if window_samples < 3:
         raise ValueError(f"window_samples must be >= 3, got {window_samples}")
     if step_samples < 1:
         raise ValueError(f"step_samples must be >= 1, got {step_samples}")
+    if method not in ("pearson", "spearman"):
+        raise ValueError(f"method must be 'pearson' or 'spearman', got {method!r}")
     ax, ay = as_array(x), as_array(y)
     if ax.size != ay.size:
         raise ValueError(f"length mismatch: {ax.size} vs {ay.size}")
-    results: list[tuple[int, float | None]] = []
-    for start in range(0, ax.size - window_samples + 1, step_samples):
-        stop = start + window_samples
-        try:
-            r = correlate(ax[start:stop], ay[start:stop], method=method)
-        except (TooFewPairs, DegenerateSeries):
-            r = None
-        results.append((start, r))
-    return results
+    if ax.size < window_samples:
+        return []
+    wx, wy = (sliding_window_view(a, window_samples)[::step_samples] for a in (ax, ay))
+    complete = ~np.isnan(wx) & ~np.isnan(wy)
+    pairs = complete.sum(axis=1)
+    r = np.full(pairs.size, np.nan)
+    for m in np.flatnonzero(np.bincount(pairs)[3:]) + 3:
+        rows = pairs == m
+        xv, yv = (w[rows][complete[rows]].reshape(-1, m) for w in (wx, wy))
+        r[rows] = _correlate_rows(xv, yv, method)
+    starts = range(0, ax.size - window_samples + 1, step_samples)
+    return [(start, None if v != v else v) for start, v in zip(starts, r.tolist())]
 
 
 def mean_trajectory(session: Session, parts: Sequence[str],

@@ -519,3 +519,63 @@ def reference_interpolate_gaps(values, max_gap: int) -> list:
                 out[i + offset] = left + t * (right - left)
         i = j
     return [None if v != v else v for v in out.tolist()]
+
+
+# -- per-window loops that the batched Pearson kernel replaced --------------
+#
+# ``correlate`` and ``windowed_correlation`` as written before every
+# correlation went through one batched kernel: a scalar coefficient with
+# ``np.dot`` sums, called once per window.  The kernel must match them
+# exactly wherever their sums neither overflow nor underflow.
+
+def reference_correlate(x, y, method: str = "pearson") -> float:
+    """Pearson or Spearman coefficient over pairwise-complete pairs."""
+    from musicking_lab.analytics import _midranks
+    from musicking_lab.errors import DegenerateSeries, TooFewPairs
+
+    if method not in ("pearson", "spearman"):
+        raise ValueError(f"method must be 'pearson' or 'spearman', got {method!r}")
+    ax, ay = np.array(x, dtype=float), np.array(y, dtype=float)
+    if ax.size != ay.size:
+        raise ValueError(f"length mismatch: {ax.size} vs {ay.size}")
+    mask = ~np.isnan(ax) & ~np.isnan(ay)
+    if int(mask.sum()) < 3:
+        raise TooFewPairs(f"need >= 3 complete pairs, got {int(mask.sum())}")
+    xv, yv = ax[mask], ay[mask]
+    if method == "spearman":
+        xv, yv = _midranks(xv), _midranks(yv)
+    xd, yd = xv - xv.mean(), yv - yv.mean()
+    sx, sy = float(np.dot(xd, xd)), float(np.dot(yd, yd))
+    if sx == 0.0 or sy == 0.0:
+        raise DegenerateSeries("zero variance: correlation undefined")
+    product = sx * sy
+    if product == 0.0 or math.isinf(product):
+        # the product under/overflowed; split the roots at a 1-ulp cost
+        denominator = math.sqrt(sx) * math.sqrt(sy)
+    else:
+        denominator = math.sqrt(product)
+    r = float(np.dot(xd, yd)) / denominator
+    return max(-1.0, min(1.0, r))
+
+
+def reference_windowed_correlation(x, y, window_samples: int, step_samples: int = 1,
+                                   method: str = "pearson") -> list:
+    """(start, r) of each full window, one ``reference_correlate`` call each."""
+    from musicking_lab.errors import DegenerateSeries, TooFewPairs
+
+    if window_samples < 3:
+        raise ValueError(f"window_samples must be >= 3, got {window_samples}")
+    if step_samples < 1:
+        raise ValueError(f"step_samples must be >= 1, got {step_samples}")
+    ax, ay = np.array(x, dtype=float), np.array(y, dtype=float)
+    if ax.size != ay.size:
+        raise ValueError(f"length mismatch: {ax.size} vs {ay.size}")
+    results = []
+    for start in range(0, ax.size - window_samples + 1, step_samples):
+        stop = start + window_samples
+        try:
+            r = reference_correlate(ax[start:stop], ay[start:stop], method=method)
+        except (TooFewPairs, DegenerateSeries):
+            r = None
+        results.append((start, r))
+    return results

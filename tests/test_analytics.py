@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,9 @@ from helpers import (
     oracle_prominence,
     oracle_quantile,
     oracle_ranks,
+    reference_correlate,
     reference_detect_peaks,
+    reference_windowed_correlation,
     sentinel_kp,
     session_of,
 )
@@ -39,6 +43,7 @@ from musicking_lab.errors import (
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 series_st = st.lists(st.none() | finite, max_size=50)
+moderate = finite.filter(lambda v: abs(v) >= 1e-6)
 
 
 class TestDescribe:
@@ -142,6 +147,14 @@ class TestRollingStat:
     def test_short_series_all_null(self):
         assert rolling_stat([1.0, 2.0], 5, "mean") == [None, None]
 
+    def test_nan_statistic_is_not_null(self):
+        # enough values, but inf - inf: the statistic is NaN, not missing
+        mean = rolling_stat([math.inf, -math.inf, 1.0], 2, "mean")
+        assert mean[0] is None and math.isnan(mean[1]) and mean[2] == -math.inf
+        variance = rolling_stat([1.0, math.inf, None], 2, "variance")
+        assert variance[0] is None and math.isnan(variance[1]) and variance[2] is None
+        assert all(v is None or type(v) is float for v in mean + variance)
+
     @given(st.lists(finite, min_size=1, max_size=40), st.integers(1, 6))
     def test_matches_naive_windows(self, values, w):
         out = rolling_stat(values, w, "mean")
@@ -197,6 +210,15 @@ class TestDetectPeaks:
     def test_nulls_split_series(self):
         peaks = detect_peaks([0, 5, None, 4, 0], 1, 0.0)
         assert peaks.indices == ()  # both runs are edge-monotone pieces
+
+    def test_tied_heights_suppress_in_index_order(self):
+        # 20 peaks of height 1, then 20 of height 2, two samples apart: more
+        # ties than a sort keeps in order by insertion sort alone, and which
+        # peaks survive distance 3 depends only on the order ties are visited
+        values = [0.0] + [v for h in [1.0] * 20 + [2.0] * 20 for v in (h, 0.0)]
+        peaks = detect_peaks(values, 3, 0.0)
+        assert peaks.indices == tuple(range(1, 81, 4))
+        assert list(peaks.indices) == naive_detect(values, 3, 0.0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 8).map(float), min_size=3, max_size=25),
@@ -298,6 +320,55 @@ class TestCorrelate:
         r2 = correlate([scale * v + shift for v in x], y)
         assert r1 == pytest.approx(r2, abs=1e-6)
 
+    @pytest.mark.parametrize("x, y, expected", [
+        # the sum of squares of x overflows unless the deviations are scaled
+        ([1e300, 2e300, -1e300, 4.0], [1.0, 2.0, 3.0, 5.0], -0.5291502622129182),
+        # ... and underflows to zero here
+        ([1e-200, 2e-200, 3e-200, 5e-200], [1.0, 2.0, 4.0, 3.0], 0.680336051416609),
+    ])
+    def test_extreme_scales(self, x, y, expected):
+        assert correlate(x, y) == pytest.approx(expected, rel=1e-12)
+        assert correlate(x, y) == pytest.approx(mpmath_pearson(x, y), rel=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), min_size=3,
+                    max_size=20),
+           st.integers(-100, 100), st.floats(1e-300, 1e300), st.floats(1e-300, 1e300))
+    def test_matches_mpmath_across_finite_domain(self, units, x_offset, x_scale, y_scale):
+        # integer patterns, off centre, at any scale the float range holds
+        x = [(u + x_offset) * x_scale for u, _ in units]
+        y = [v * y_scale for _, v in units]
+        expected = mpmath_pearson(x, y)
+        if expected is None or abs(expected) < 0.1:
+            return  # constant, or r near 0 cancels in the sum of products
+        assert correlate(x, y) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("x, y", [
+        ([1, 2, math.inf, 4], [1, 2, 3, 5]),
+        ([1, 2, 3, 4], [1, -math.inf, 3, 5]),
+        ([1, 2, math.inf, 4], [1, 2, -math.inf, 5]),
+        ([math.inf, 2, 3, 4], [math.inf, 2, 3, 5]),
+    ])
+    def test_non_finite_value_gives_no_coefficient(self, x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSeries):
+                correlate(x, y)
+            assert correlation_matrix({"x": x, "y": y}).values[0][1] is None
+            assert windowed_correlation(x, y, 4) == [(0, None)]
+
+
+def mpmath_pearson(x, y):
+    """Pearson r of the exact float inputs at 50 digits; None if undefined."""
+    with mpmath.workdps(50):
+        xs, ys = [mpmath.mpf(v) for v in x], [mpmath.mpf(v) for v in y]
+        mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+        sx = sum((v - mx) ** 2 for v in xs)
+        sy = sum((v - my) ** 2 for v in ys)
+        if sx == 0 or sy == 0:
+            return None
+        return float(sum((a - mx) * (b - my) for a, b in zip(xs, ys)) / mpmath.sqrt(sx * sy))
+
 
 class TestCorrelationMatrix:
     def test_identical_columns(self):
@@ -366,6 +437,42 @@ class TestWindowedCorrelation:
     def test_window_too_small(self):
         with pytest.raises(ValueError):
             windowed_correlation([1, 2, 3], [1, 2, 3], 2)
+
+    def test_series_shorter_than_window(self):
+        assert windowed_correlation([1, 2, 3], [1, 2, 3], 4) == []
+        assert windowed_correlation([], [], 3, method="spearman") == []
+
+    def test_non_finite_window_is_none(self):
+        x = [1.0, 2.0, math.inf, 4.0, 5.0, 7.0]
+        out = windowed_correlation(x, [1, 2, 3, 5, 4, 6], 3)
+        assert out[:3] == [(0, None), (1, None), (2, None)]
+        assert out[3] == (3, pytest.approx(oracle_pearson([4, 5, 7], [5, 4, 6])))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 60).flatmap(lambda n: st.tuples(
+               st.lists(st.none() | st.sampled_from([0.0, -0.0, 1.0, 3.0]) | moderate,
+                        min_size=n, max_size=n),
+               st.lists(st.none() | st.sampled_from([0.0, -0.0, 2.0]) | moderate,
+                        min_size=n, max_size=n))),
+           st.integers(3, 12), st.integers(1, 5), st.sampled_from(["pearson", "spearman"]))
+    def test_matches_per_window_reference(self, series, w, step, method):
+        # nulls in either series, windows of fewer than 3 complete pairs,
+        # constant windows and signed zeros, against one scalar call per
+        # window; repr tells -0.0 from 0.0.  Values of moderate scale keep
+        # the reference's sums from under- or overflowing, where the kernel
+        # is meant to differ.
+        x, y = series
+        got = windowed_correlation(x, y, w, step, method)
+        expected = reference_windowed_correlation(x, y, w, step, method)
+        assert [repr(pair) for pair in got] == [repr(pair) for pair in expected]
+
+        def outcome(f):
+            try:
+                return repr(f(x, y, method))
+            except (TooFewPairs, DegenerateSeries) as exc:
+                return type(exc).__name__
+
+        assert outcome(correlate) == outcome(reference_correlate)
 
 
 class TestMeanTrajectory:
