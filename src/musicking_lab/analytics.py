@@ -208,12 +208,15 @@ def detect_peaks(values: Sequence[float | None], min_distance_samples: int = 1,
 
 
 def _midranks(v: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(v, kind="stable")
-    starts, ends = runs(v[order])
-    ranks = np.empty(v.size)
-    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
-    return ranks
+    """1-based ranks within each row of a (k, m) array; ties share their average rank."""
+    order = np.argsort(v, axis=1, kind="stable")
+    width = v.shape[1] + 1  # a NaN after each sorted row ends its last run
+    starts, ends = runs(np.c_[np.take_along_axis(v, order, axis=1), np.full(len(v), np.nan)].ravel())
+    row = starts // width * width
+    ranks = np.repeat(0.5 * (starts + ends - 1 - 2 * row) + 1.0, ends - starts).reshape(-1, width)
+    out = np.empty(v.shape)
+    np.put_along_axis(out, order, ranks[:, :-1], axis=1)
+    return out
 
 
 def _pearson_rows(xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
@@ -260,7 +263,7 @@ def correlate(x: Sequence[float | None], y: Sequence[float | None],
 
 def _correlate_rows(xv: np.ndarray, yv: np.ndarray, method: str) -> np.ndarray:
     if method == "spearman":
-        xv, yv = (np.array([_midranks(row) for row in v]) for v in (xv, yv))
+        xv, yv = _midranks(xv), _midranks(yv)
     return _pearson_rows(xv, yv)
 
 

@@ -111,14 +111,8 @@ def _kmeans_plus_plus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return centroids
 
 
-def _assign(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=1)
-    return labels, d2[np.arange(X.shape[0]), labels]
-
-
 def _repair_empty(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
-                  own_d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  own_d2: np.ndarray) -> None:
     # An empty cluster takes over the point currently farthest from its
     # centroid; that point's distance drops to zero, so inertia never rises.
     # Sole members are not stolen, or the repair would cascade new empties.
@@ -132,28 +126,75 @@ def _repair_empty(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray,
         centroids[c] = X[farthest]
         labels[farthest] = c
         own_d2[farthest] = 0.0
-    return labels, own_d2
 
 
-def _lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float):
-    k = centroids.shape[0]
-    trace: list[float] = []
+def _means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Each start's cluster means, summed as ``X[labels[s] == c].mean(axis=0)`` sums.
+
+    numpy sums rows of two or more columns one after another from +0.0, as
+    ``np.bincount`` does, but one column pairwise, which only a block of the
+    group's exact length reproduces.
+    """
+    starts, n = labels.shape
+    group = (labels + k * np.arange(starts)[:, None]).ravel()
+    counts = np.bincount(group, minlength=starts * k)
+    if X.shape[1] > 1:
+        sums = np.stack([np.bincount(group, w, starts * k) for w in np.tile(X.T, starts)], axis=1)
+    else:
+        column = X[np.argsort(group, kind="stable") % n, 0]
+        first = np.cumsum(counts) - counts
+        sums = np.empty((starts * k, 1))
+        for count in set(counts.tolist()):
+            same = counts == count
+            sums[same, 0] = column[first[same, None] + np.arange(count)].sum(axis=1)
+    return (sums / counts[:, None]).reshape(starts, k, -1)
+
+
+def _lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float) -> list:
+    """Each start's (labels, centroids, inertia, iterations, trace), run as one batch.
+
+    A start leaves the batch at the assignment after its last update.
+    """
+    starts, k = centroids.shape[:2]
+    active, runs = np.arange(starts), [None] * starts
+    traces: list[list[float]] = [[] for _ in runs]
+    done = np.full(starts, max_iter <= 0)
     iterations = 0
-    for _ in range(max_iter):
+    while True:
+        diff = X[None, :, None, :] - centroids[:, None, :, :]
+        d2 = np.square(diff, out=diff).sum(axis=3)
+        labels = d2.argmin(axis=2)
+        own_d2 = np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0]
+        counts = np.bincount((labels + k * np.arange(active.size)[:, None]).ravel(),
+                             minlength=active.size * k)
+        for i in np.flatnonzero((counts.reshape(-1, k) == 0).any(axis=1)):
+            _repair_empty(X, centroids[i], labels[i], own_d2[i])
+        for s, inertia in zip(active, own_d2.sum(axis=1).tolist()):
+            traces[s].append(inertia)
+        for i, s in zip(np.flatnonzero(done), active[done]):
+            runs[s] = (labels[i], centroids[i], traces[s][-1], iterations, tuple(traces[s]))
+        active, centroids, labels = active[~done], centroids[~done], labels[~done]
+        if not active.size:
+            return runs
         iterations += 1
-        labels, own_d2 = _assign(X, centroids)
-        labels, own_d2 = _repair_empty(X, centroids, labels, own_d2)
-        trace.append(float(own_d2.sum()))
-        new_centroids = np.array([X[labels == c].mean(axis=0) for c in range(k)])
-        movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        new_centroids = _means(X, labels, k)
+        movement = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=2)).max(axis=1)
+        done = (movement < tol) | (iterations >= max_iter)
         centroids = new_centroids
-        if movement < tol:
-            break
-    # One more assignment so the reported labels match the final centroids.
-    labels, own_d2 = _assign(X, centroids)
-    labels, own_d2 = _repair_empty(X, centroids, labels, own_d2)
-    trace.append(float(own_d2.sum()))
-    return labels, centroids, float(own_d2.sum()), iterations, tuple(trace)
+
+
+def _check_spread(X: np.ndarray) -> None:
+    # Rows times the columns' squared spread bounds every sum of squared
+    # distances between rows: k-means++ totals, inertia, silhouette sums.
+    with np.errstate(all="ignore"):
+        bound = X.shape[0] * np.square(X.max(axis=0) - X.min(axis=0)).sum()
+    if not np.isfinite(bound):
+        raise NonFinite("squared distances between rows overflow or are NaN")
+
+
+def _distances(X: np.ndarray) -> np.ndarray:
+    _check_spread(X)
+    return np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
 
 
 def kmeans_fit(X: np.ndarray, k: int, seed: int = 0,
@@ -162,17 +203,17 @@ def kmeans_fit(X: np.ndarray, k: int, seed: int = 0,
                row_labels: Sequence[int] | None = None) -> ClusterResult:
     """Lloyd's algorithm with k-means++ seeding, best of ``n_init`` starts.
 
-    Each start draws its k-means++ seeds from one generator initialized
-    with ``seed``, runs Lloyd until the largest centroid movement falls
-    below ``tol`` or ``max_iter`` is hit, and the lowest-inertia start
-    wins; the whole fit is deterministic for a fixed (X, k, seed).
-    ``row_labels`` keys the assignment map (bar indices, typically) and
-    defaults to 0..n-1.
+    Each start draws its k-means++ seeds in turn from one generator
+    initialized with ``seed``; then the starts run Lloyd as one batch, each
+    until its largest centroid movement falls below ``tol`` or ``max_iter``
+    is hit.  The first lowest-inertia start wins; the whole fit is
+    deterministic for a fixed (X, k, seed).  ``row_labels`` keys the
+    assignment map (bar indices, typically) and defaults to 0..n-1.
 
     Raises:
         TooFewRows: Fewer rows than clusters.
-        NonFinite: NaN or infinity in the matrix.
-        ValueError: k < 1 or n_init < 1.
+        NonFinite: NaN or infinity in the matrix, or overflowing distances.
+        ValueError: k < 1, n_init < 1, or not one distinct label per row.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -192,14 +233,14 @@ def kmeans_fit(X: np.ndarray, k: int, seed: int = 0,
         row_labels = list(row_labels)
         if len(row_labels) != n:
             raise ValueError(f"{len(row_labels)} row labels for {n} rows")
+        if len(set(row_labels)) != n:
+            raise ValueError("row labels must be distinct")
+    _check_spread(X)
 
     rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(n_init):
-        run = _lloyd(X, _kmeans_plus_plus(X, k, rng), max_iter, tol)
-        if best is None or run[2] < best[2]:
-            best = run
-    labels, centroids, inertia, iterations, trace = best
+    seeds = np.array([_kmeans_plus_plus(X, k, rng) for _ in range(n_init)])
+    labels, centroids, inertia, iterations, trace = min(_lloyd(X, seeds, max_iter, tol),
+                                                         key=lambda run: run[2])
 
     sizes = tuple(int((labels == c).sum()) for c in range(k))
     return ClusterResult(
@@ -214,33 +255,37 @@ def kmeans_fit(X: np.ndarray, k: int, seed: int = 0,
     )
 
 
+def _silhouette(D: np.ndarray, labels: np.ndarray, k: int) -> float:
+    # One gather per cluster; the contiguous copy sums each row as that
+    # row's own sum would.
+    sums = np.stack([np.ascontiguousarray(D[:, labels == c]).sum(axis=1)
+                     for c in range(k)], axis=1)
+    counts = np.bincount(labels, minlength=k)
+    own = counts[labels]
+    a = np.take_along_axis(sums, labels[:, None], axis=1)[:, 0] / np.maximum(own - 1, 1)
+    means = np.divide(sums, counts, out=np.full(sums.shape, np.inf), where=counts > 0)
+    np.put_along_axis(means, labels[:, None], np.inf, axis=1)
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    scores = np.divide(b - a, denom, out=np.zeros(labels.size), where=(own > 1) & (denom != 0))
+    return float(scores.mean())
+
+
 def silhouette(X: np.ndarray, result: ClusterResult) -> float:
     """Mean silhouette score (Euclidean); singleton clusters contribute 0.
 
     k may equal the row count (every cluster a singleton scores 0 by that
-    convention).
+    convention).  All rows are scored at once from one distance matrix.
 
     Raises:
         InvalidK: k outside [2, rows].
+        NonFinite: NaN in the matrix, or overflowing distances.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if not 2 <= result.k <= n:
         raise InvalidK(f"silhouette needs 2 <= k <= rows, got k={result.k}, rows={n}")
-    labels = result.labels
-    distances = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
-    scores = np.zeros(n)
-    for i in range(n):
-        own = labels == labels[i]
-        own_size = int(own.sum())
-        if own_size <= 1:
-            continue
-        a = distances[i, own].sum() / (own_size - 1)
-        b = min(distances[i, labels == c].mean()
-                for c in range(result.k) if c != labels[i] and (labels == c).any())
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
-    return float(scores.mean())
+    return _silhouette(_distances(X), result.labels, result.k)
 
 
 def select_k(X: np.ndarray, k_range: tuple[int, int], seed: int = 0,
@@ -252,22 +297,20 @@ def select_k(X: np.ndarray, k_range: tuple[int, int], seed: int = 0,
     Ties go to the smaller k.  The full diagnostics table (inertia and
     silhouette per k) comes back too, so elbow judgment stays possible;
     each row keeps its fit, keyed by ``row_labels`` as in
-    :func:`kmeans_fit`, so the chosen model need not be fitted again.
+    :func:`kmeans_fit`, so the chosen model need not be fitted again.  Each
+    k's starts run as one batch, and one distance matrix serves every k.
 
     Raises:
         InvalidRange: Empty range, or bounds outside [2, rows - 1].
+        NonFinite, ValueError: As for :func:`kmeans_fit`.
     """
     X = np.asarray(X, dtype=float)
     lo, hi = k_range
     if lo > hi or lo < 2 or hi > X.shape[0] - 1:
         raise InvalidRange(f"k range [{lo}, {hi}] invalid for {X.shape[0]} rows")
-    diagnostics = []
-    best_k, best_score = None, -np.inf
-    for k in range(lo, hi + 1):
-        result = kmeans_fit(X, k, seed=seed, max_iter=max_iter, tol=tol, row_labels=row_labels)
-        score = silhouette(X, result)
-        diagnostics.append(KDiagnostic(k=k, inertia=result.inertia, silhouette=score,
-                                       fit=result))
-        if score > best_score:
-            best_k, best_score = k, score
-    return best_k, diagnostics
+    fits = [kmeans_fit(X, k, seed=seed, max_iter=max_iter, tol=tol, row_labels=row_labels)
+            for k in range(lo, hi + 1)]
+    D = _distances(X)
+    diagnostics = [KDiagnostic(k=fit.k, inertia=fit.inertia, fit=fit,
+                               silhouette=_silhouette(D, fit.labels, fit.k)) for fit in fits]
+    return max(diagnostics, key=lambda row: row.silhouette).k, diagnostics

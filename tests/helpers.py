@@ -528,9 +528,19 @@ def reference_interpolate_gaps(values, max_gap: int) -> list:
 # ``np.dot`` sums, called once per window.  The kernel must match them
 # exactly wherever their sums neither overflow nor underflow.
 
+def _reference_midranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties sharing their average rank, one row at a time."""
+    from musicking_lab._series import runs
+
+    order = np.argsort(v, kind="stable")
+    starts, ends = runs(v[order])
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
+    return ranks
+
+
 def reference_correlate(x, y, method: str = "pearson") -> float:
     """Pearson or Spearman coefficient over pairwise-complete pairs."""
-    from musicking_lab.analytics import _midranks
     from musicking_lab.errors import DegenerateSeries, TooFewPairs
 
     if method not in ("pearson", "spearman"):
@@ -543,7 +553,7 @@ def reference_correlate(x, y, method: str = "pearson") -> float:
         raise TooFewPairs(f"need >= 3 complete pairs, got {int(mask.sum())}")
     xv, yv = ax[mask], ay[mask]
     if method == "spearman":
-        xv, yv = _midranks(xv), _midranks(yv)
+        xv, yv = _reference_midranks(xv), _reference_midranks(yv)
     xd, yd = xv - xv.mean(), yv - yv.mean()
     sx, sy = float(np.dot(xd, xd)), float(np.dot(yd, yd))
     if sx == 0.0 or sy == 0.0:
@@ -579,3 +589,113 @@ def reference_windowed_correlation(x, y, window_samples: int, step_samples: int 
             r = None
         results.append((start, r))
     return results
+
+
+# -- per-start loops that the batched KMeans and silhouette replaced ---------
+#
+# KMeans and silhouette as written before each k's starts ran Lloyd as one
+# batch and one distance matrix served every k: one Lloyd loop per start
+# and one Python loop over rows per silhouette.  The batch must match them
+# exactly, bit for bit.
+
+def _reference_kmeans_plus_plus(X, k, rng):
+    n = X.shape[0]
+    centroids = np.empty((k, X.shape[1]))
+    centroids[0] = X[int(rng.integers(n))]
+    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = float(d2.sum())
+        if total == 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centroids[c] = X[idx]
+        d2 = np.minimum(d2, ((X - centroids[c]) ** 2).sum(axis=1))
+    return centroids
+
+
+def _reference_assign(X, centroids):
+    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    labels = d2.argmin(axis=1)
+    return labels, d2[np.arange(X.shape[0]), labels]
+
+
+def _reference_repair_empty(X, centroids, labels, own_d2):
+    k = centroids.shape[0]
+    for c in range(k):
+        if (labels == c).any():
+            continue
+        counts = np.bincount(labels, minlength=k)
+        candidates = np.where(counts[labels] > 1, own_d2, -np.inf)
+        farthest = int(candidates.argmax())
+        centroids[c] = X[farthest]
+        labels[farthest] = c
+        own_d2[farthest] = 0.0
+    return labels, own_d2
+
+
+def _reference_lloyd(X, centroids, max_iter, tol):
+    k = centroids.shape[0]
+    trace = []
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        labels, own_d2 = _reference_assign(X, centroids)
+        labels, own_d2 = _reference_repair_empty(X, centroids, labels, own_d2)
+        trace.append(float(own_d2.sum()))
+        new_centroids = np.array([X[labels == c].mean(axis=0) for c in range(k)])
+        movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        if movement < tol:
+            break
+    # One more assignment so the reported labels match the final centroids.
+    labels, own_d2 = _reference_assign(X, centroids)
+    labels, own_d2 = _reference_repair_empty(X, centroids, labels, own_d2)
+    trace.append(float(own_d2.sum()))
+    return labels, centroids, float(own_d2.sum()), iterations, tuple(trace)
+
+
+def reference_kmeans_fit(X, k, seed=0, max_iter=300, tol=1e-6, n_init=10):
+    """(labels, centroids, inertia, iterations, trace, sizes): best of the starts."""
+    X = np.asarray(X, dtype=float)
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(n_init):
+        run = _reference_lloyd(X, _reference_kmeans_plus_plus(X, k, rng), max_iter, tol)
+        if best is None or run[2] < best[2]:
+            best = run
+    labels, centroids, inertia, iterations, trace = best
+    sizes = tuple(int((labels == c).sum()) for c in range(k))
+    return labels, centroids, inertia, iterations, trace, sizes
+
+
+def reference_silhouette(X, labels, k) -> float:
+    """Mean silhouette by one Python loop over rows."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    distances = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+    scores = np.zeros(n)
+    for i in range(n):
+        own = labels == labels[i]
+        own_size = int(own.sum())
+        if own_size <= 1:
+            continue
+        a = distances[i, own].sum() / (own_size - 1)
+        b = min(distances[i, labels == c].mean()
+                for c in range(k) if c != labels[i] and (labels == c).any())
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    return float(scores.mean())
+
+
+def reference_select_k(X, k_range, seed=0, max_iter=300, tol=1e-6):
+    """(best k, [(k, inertia, silhouette)]) from the loops above."""
+    rows = []
+    best_k, best_score = None, -np.inf
+    for k in range(k_range[0], k_range[1] + 1):
+        labels, _, inertia, _, _, _ = reference_kmeans_fit(X, k, seed, max_iter, tol)
+        score = reference_silhouette(X, labels, k)
+        rows.append((k, inertia, score))
+        if score > best_score:
+            best_k, best_score = k, score
+    return best_k, rows

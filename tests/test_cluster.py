@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     oracle_kmeans_optimum,
     oracle_kmeans_optimum_fast,
     performance_session,
+    reference_kmeans_fit,
+    reference_select_k,
     session_of,
 )
 from musicking_lab.cluster import (
@@ -156,6 +161,11 @@ class TestKmeansFit:
         result = kmeans_fit(X, 2, seed=0, row_labels=[7, 42])
         assert set(result.assignments) == {7, 42}
 
+    def test_duplicate_row_labels(self):
+        X = np.array([[0.0], [1.0], [10.0], [11.0]])
+        with pytest.raises(ValueError, match="distinct"):
+            kmeans_fit(X, 2, seed=0, row_labels=[1, 1, 2, 3])
+
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             kmeans_fit(np.zeros((2, 2)), 3, seed=0)
@@ -262,6 +272,11 @@ class TestSelectK:
         assert best_k == 2
         assert all(d.silhouette == 0.0 for d in diagnostics)
 
+    def test_duplicate_row_labels(self):
+        X = np.arange(10.0)[:, None]
+        with pytest.raises(ValueError, match="distinct"):
+            select_k(X, (2, 4), seed=0, row_labels=[0, 1, 2, 3, 4, 5, 6, 7, 8, 8])
+
     def test_fits_kept_match_a_refit(self):
         rng = np.random.default_rng(15)
         X = blobs(rng, [(0, 0), (12, 0), (6, 10)], per_blob=10, spread=0.5)
@@ -271,3 +286,86 @@ class TestSelectK:
             refit = kmeans_fit(X, d.k, seed=3, row_labels=labels)
             assert d.fit.as_dict() == refit.as_dict()
             assert d.inertia == refit.inertia
+
+
+# Finite rows whose squared distances overflow: a squared spread that is
+# infinite, one whose squares are finite but whose sum is not, and one whose
+# k-means++ total over the rows is not (each distance itself is finite).
+OVERFLOWING = [
+    [[1e200], [-1e200], [0.0], [5e199]],
+    [[0.0, 0.0], [1.2e154, 1.2e154], [-1.0, 3.0], [1.2e154, 0.0]],
+    [[0.0], [0.0], [1.3e154], [1.3e154]],
+]
+
+
+class TestOverflowingDistances:
+    @pytest.mark.parametrize("rows", OVERFLOWING)
+    def test_refused_without_warnings(self, rows):
+        X = np.array(rows)
+        result = kmeans_fit(np.arange(4.0)[:, None], 2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="overflow"):
+                kmeans_fit(X, 2, seed=0)
+            with pytest.raises(NonFinite, match="overflow"):
+                silhouette(X, result)
+            with pytest.raises(NonFinite, match="overflow"):
+                select_k(X, (2, 3), seed=0)
+
+    def test_large_finite_spread_still_fits(self):
+        X = np.array([[0.0], [1e150], [2e150], [3e150]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = kmeans_fit(X, 2, seed=0)
+            assert -1.0 <= silhouette(X, result) <= 1.0
+        assert sorted(result.sizes) == [2, 2]
+
+
+@st.composite
+def feature_matrices(draw):
+    """Matrices with ties, duplicate rows and -0.0 columns, at several scales."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * 10.0 ** draw(st.integers(-3, 3))
+    rounding = draw(st.sampled_from([None, 0, 1]))
+    if rounding is not None:
+        X = np.round(X, rounding)
+    distinct = draw(st.sampled_from([None, 1, 2, 5]))
+    if distinct is not None:  # duplicate rows; 1 makes every row identical
+        X = X[rng.integers(0, min(distinct, n), size=n)]
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = -0.0
+    return X
+
+
+class TestBatchMatchesParentLoop:
+    """The batched fit and silhouette keep every bit of the per-start loops."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(feature_matrices(), st.integers(1, 9), st.integers(0, 4),
+           st.sampled_from([1, 2, 300]), st.sampled_from([0.0, 1e-6]))
+    def test_kmeans_fit(self, X, k, seed, max_iter, tol):
+        k = min(k, X.shape[0])
+        got = kmeans_fit(X, k, seed=seed, max_iter=max_iter, tol=tol)
+        labels, centroids, inertia, iterations, trace, sizes = reference_kmeans_fit(
+            X, k, seed, max_iter, tol)
+        assert repr(got.labels.tolist()) == repr(labels.tolist())
+        assert repr(got.centroids.tolist()) == repr(centroids.tolist())
+        assert repr(got.inertia) == repr(inertia)
+        assert repr(got.inertia_trace) == repr(trace)
+        assert got.iterations == iterations
+        assert got.sizes == sizes
+
+    @settings(max_examples=40, deadline=None)
+    @given(feature_matrices().filter(lambda X: X.shape[0] >= 3), st.integers(0, 4),
+           st.sampled_from([1, 2, 300]), st.sampled_from([0.0, 1e-6]))
+    def test_select_k(self, X, seed, max_iter, tol):
+        k_range = (2, min(8, X.shape[0] - 1))
+        best_k, diagnostics = select_k(X, k_range, seed=seed, max_iter=max_iter, tol=tol)
+        reference_best, rows = reference_select_k(X, k_range, seed, max_iter, tol)
+        assert [repr((d.k, d.inertia, d.silhouette)) for d in diagnostics] == [
+            repr(row) for row in rows]
+        assert best_k == reference_best
+        for d in diagnostics:
+            assert repr(silhouette(X, d.fit)) == repr(d.silhouette)
