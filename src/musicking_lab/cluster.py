@@ -186,10 +186,14 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float) -> l
 def _check_spread(X: np.ndarray) -> None:
     # Rows times the columns' squared spread bounds every sum of squared
     # distances between rows: k-means++ totals, inertia, silhouette sums.
+    # Rows times the largest magnitude bounds every sum behind a centroid.
     with np.errstate(all="ignore"):
         bound = X.shape[0] * np.square(X.max(axis=0) - X.min(axis=0)).sum()
+        total = X.shape[0] * np.abs(X).max(initial=0.0)
     if not np.isfinite(bound):
         raise NonFinite("squared distances between rows overflow or are NaN")
+    if not np.isfinite(total):
+        raise NonFinite("sums of rows for a centroid overflow")
 
 
 def _distances(X: np.ndarray) -> np.ndarray:

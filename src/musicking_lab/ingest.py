@@ -42,6 +42,8 @@ from .model import (
     BeatGrid,
     Session,
     _float_column,
+    _incomplete,
+    _not_increasing,
 )
 
 SESSION_FILE_SUFFIX = ".json"
@@ -86,12 +88,13 @@ def _decode_rows(data: bytes | str) -> list:
     return rows
 
 
-def _session_id(rows: list, fallback_session_id: str) -> str:
-    # The first non-null session_id of the records, else the fallback.
-    for obj in rows:
+def _session_id(rows: list, fallback_session_id: str) -> tuple[str, int | None]:
+    # The first non-null session_id of the records and its row, else the
+    # fallback and no row.
+    for row, obj in enumerate(rows):
         if isinstance(obj, dict) and obj.get("session_id") is not None:
-            return obj["session_id"] or fallback_session_id
-    return fallback_session_id
+            return (obj["session_id"], row) if obj["session_id"] else (fallback_session_id, None)
+    return fallback_session_id, None
 
 
 def parse_session_file(data: bytes | str | list, fallback_session_id: str = "") -> Session:
@@ -110,8 +113,9 @@ def parse_session_file(data: bytes | str | list, fallback_session_id: str = "") 
         MalformedDocument: Not JSON, a ``NaN``/``Infinity`` literal, or not
             an array of objects.
         SchemaError: A required field is missing, mistyped or not finite,
-            or the master clock does not strictly increase; reports the
-            0-based row index of the first failure.
+            the master clock does not strictly increase, or the session id,
+            which names output files, is ``.``, ``..`` or holds ``/``,
+            ``\\`` or NUL; reports the 0-based row index of the first failure.
     """
     rows = data if isinstance(data, list) else _decode_rows(data)
     n = next((i for i, obj in enumerate(rows) if not isinstance(obj, dict)), len(rows))
@@ -130,8 +134,11 @@ def parse_session_file(data: bytes | str | list, fallback_session_id: str = "") 
         raise SchemaError(next(message(row) for mask, message in rules if mask[row]), row=row)
     if n < len(rows):
         raise MalformedDocument(f"row {n}: record is not an object")
+    session_id, row = _session_id(rows, fallback_session_id)
+    if session_id in (".", "..") or re.search(r"[/\\\0]", session_id):
+        raise SchemaError(f"session_id {session_id!r} is not a file name", row=row)
     columns = {name: read[key][0] for key, name in _COLUMNS.items()}
-    return Session._from_columns(_session_id(rows, fallback_session_id), columns, extras)
+    return Session._from_columns(session_id, columns, extras)
 
 
 def _contract_rules(body: list, read: dict, extras: dict) -> list:
@@ -162,8 +169,7 @@ def _contract_rules(body: list, read: dict, extras: dict) -> list:
             rules.append((np.isfinite(column) & (column != np.floor(column)),
                           lambda i, key=key: f"{key} must be an integer, got {body[i][key]!r}"))
     for part, label, keys in _KEYPOINT_KEYS:
-        null = [read[key][1] for key in keys]  # some but not all axes null
-        rules.append((np.logical_or.reduce(null) & ~np.logical_and.reduce(null),
+        rules.append((_incomplete([read[key][1] for key in keys]),
                       lambda i, part=part: f"incomplete keypoint for {part}"))
         for key in keys:
             rules += number_rules(key, label)
@@ -173,10 +179,9 @@ def _contract_rules(body: list, read: dict, extras: dict) -> list:
                             for obj in body], dtype=bool),
                   lambda i: f"session_id is not a string: {body[i]['session_id']!r}"))
     position = read["backing_track_position"][0]
-    clock = np.zeros(len(body), dtype=bool)
-    clock[1:] = ~(position[1:] > position[:-1])
-    rules.append((clock, lambda i: f"backing_track_position {float(position[i])!r} not strictly "
-                                   f"increasing (previous {float(position[i - 1])!r})"))
+    rules.append((_not_increasing(position),
+                  lambda i: f"backing_track_position {float(position[i])!r} not strictly "
+                            f"increasing (previous {float(position[i - 1])!r})"))
     return rules
 
 
@@ -348,7 +353,7 @@ def _first_record_id(path: Path):
         return None
     if not isinstance(row, dict) or row.get("session_id") is None:
         return None
-    return _session_id([row], path.stem)
+    return _session_id([row], path.stem)[0]
 
 
 def find_session(directory: str | Path, session_id: str) -> Session | None:
@@ -374,7 +379,7 @@ def find_session(directory: str | Path, session_id: str) -> Session | None:
                 rows = _decode_rows(path.read_bytes())
             except MalformedDocument:
                 continue
-            file_id = _session_id(rows, path.stem)
+            file_id = _session_id(rows, path.stem)[0]
         if file_id != session_id:
             continue
         try:

@@ -25,12 +25,15 @@ Sessions pickle and copy by their columns.
 
 Validation is data, not control flow: ``validate_record`` and
 ``validate_session`` return lists of human-readable violation strings and
-never raise.
+never raise.  Each record rule is written once, as a mask over columns
+and a message, which ``validate_session`` applies to a session's columns
+and ``validate_record`` to one record's values.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 
@@ -133,6 +136,7 @@ _ALIASES: dict[str, str] = {**_COLUMNS, **{name: name for name in _COLUMNS.value
 # master clock first; the integer ones read back as int.
 _SCALAR_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(Record))[:-2]
 _INTEGER_FIELDS = frozenset(_SCALAR_FIELDS[2:])
+_LEVEL_FIELDS = _SCALAR_FIELDS[3:]  # flow, EDA and EEG: numbers, none below 0
 
 
 def _part(columns: Mapping[str, np.ndarray], part: str) -> tuple[np.ndarray, ...]:
@@ -140,6 +144,18 @@ def _part(columns: Mapping[str, np.ndarray], part: str) -> tuple[np.ndarray, ...
     records where the part is present: any of the three is not NaN."""
     x, y, confidence = (columns[f"{part}_{axis}"] for axis in SKELETON_AXES)
     return x, y, confidence, ~(np.isnan(x) & np.isnan(y) & np.isnan(confidence))
+
+
+def _incomplete(nulls: Sequence[np.ndarray]) -> np.ndarray:
+    """The mask of the keypoints with some but not all axes null."""
+    return np.logical_or.reduce(nulls) & ~np.logical_and.reduce(nulls)
+
+
+def _not_increasing(values: np.ndarray) -> np.ndarray:
+    """The mask of the values not above the one before them."""
+    mask = np.zeros(len(values), dtype=bool)
+    mask[1:] = ~(values[1:] > values[:-1])
+    return mask
 
 
 class _Absent:
@@ -241,9 +257,9 @@ class Session:
                 i = int(bad.argmax())
                 raise InvariantError(f"record {i}: {label} is not a number: {values[i]!r}")
         # A keypoint has all three axes or none, as ingest requires of a file.
-        incomplete = np.array([present & (np.isnan(x) | np.isnan(y) | np.isnan(confidence))
-                               for x, y, confidence, present
-                               in (_part(columns, part) for part in SKELETON_PARTS)])
+        incomplete = np.array([_incomplete([np.isnan(columns[f"{part}_{axis}"])
+                                            for axis in SKELETON_AXES])
+                               for part in SKELETON_PARTS])
         if incomplete.any():
             i, part = np.argwhere(incomplete.T)[0]
             raise InvariantError(f"record {i}: {SKELETON_PARTS[part]}: incomplete keypoint, "
@@ -288,17 +304,16 @@ class Session:
     def __repr__(self) -> str:
         return f"Session(session_id={self.session_id!r}, records=<{len(self)} records>)"
 
-    def _build_records(self, rows: np.ndarray) -> list[Record]:
-        """The Records of the given row indices, each built from its own row
-        of the columns alone."""
-        columns = {name: column[rows] for name, column in self._columns.items()}
+    def _build_records(self) -> list[Record]:
+        """The Records, each built from its own row of the columns alone."""
+        columns = self._columns
         scalars = [_as_list(columns[name], name in _INTEGER_FIELDS) for name in _SCALAR_FIELDS]
         parts = [(part, *(a.tolist() for a in _part(columns, part))) for part in SKELETON_PARTS]
         records = []
-        for i, (row, values) in enumerate(zip(rows.tolist(), zip(*scalars))):
+        for i, values in enumerate(zip(*scalars)):
             keypoints = {part: Keypoint(x[i], y[i], confidence[i])
                          for part, x, y, confidence, present in parts if present[i]}
-            extras = {key: v[row] for key, v in self._extras.items() if v[row] is not _ABSENT}
+            extras = {key: v[i] for key, v in self._extras.items() if v[i] is not _ABSENT}
             records.append(Record(*values, keypoints=keypoints, extras=extras))
         return records
 
@@ -318,7 +333,7 @@ class _RecordView(Sequence):
 
     def __getitem__(self, index):
         if self._items is None:
-            self._items = tuple(self._session._build_records(np.arange(len(self))))
+            self._items = tuple(self._session._build_records())
         return self._items[index]
 
     def __eq__(self, other) -> bool:
@@ -480,73 +495,72 @@ def column_values(session: Session, name: str) -> list[float | None]:
 
 # -- validation ------------------------------------------------------------
 
-def _check_number(violations: list[str], label: str, value, *, integer=False,
-                  minimum=None) -> None:
-    if value is None:
-        return
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        violations.append(f"{label} not numeric")
-        return
-    if integer and not _to_float(value).is_integer():
-        violations.append(f"{label} not an integer")
-    if minimum is not None and value < minimum:
-        violations.append(f"{label} below {minimum}")
+def _scalar_rules(columns: Mapping[str, np.ndarray]) -> dict[str, list]:
+    """Each checked field's rules as (mask, message) pairs over its column
+    (NaN for null), in the order a record's violations are listed."""
+    chorus, flow = columns["chorus_id"], columns["flow"]
+    rules = {"chorus_id": [(~np.isnan(chorus) & ~np.isin(chorus, list(CHORUS_IDS)),
+                            "chorus_id not in {0..5,999}")],
+             "flow": [(~np.isnan(flow) & ~(np.isfinite(flow) & (flow == np.floor(flow))),
+                       "flow not an integer")]}
+    for name in _LEVEL_FIELDS:
+        rules.setdefault(name, []).append((columns[name] < 0, f"{name} below 0"))
+    return rules
+
+
+def _keypoint_rules(part: str, x, y, confidence, present) -> list:
+    """One skeleton part's rules, given its columns and presence mask."""
+    return [(present & ~((confidence >= 0.0) & (confidence <= 1.0)),
+             f"{part}: confidence not in [0,1]"),
+            (x < SENTINEL, f"{part}: x below -1"), (y < SENTINEL, f"{part}: y below -1"),
+            ((x == SENTINEL) != (y == SENTINEL), f"{part}: x/y sentinel mismatch")]
+
+
+def _one_row(value) -> np.ndarray:
+    """A record's value as a one-row column: None is null; NaN, or a value
+    that is not a real number, reads +inf, which breaks every rule NaN does."""
+    real = isinstance(value, numbers.Real) and value == value
+    return np.array([math.nan if value is None else _to_float(value) if real else math.inf])
 
 
 def validate_record(record: Record) -> list[str]:
     """Check every Record invariant; return one description per violation.
 
     An empty list means the record is valid.  Null fields never violate
-    anything: missingness is audited separately.
+    anything: missingness is audited separately.  The rules are those of
+    :func:`validate_session`, plus what no session holds: a flow, EDA or
+    EEG value that is not a number, and an unknown body part.
     """
+    values = {name: getattr(record, name) for name in _SCALAR_FIELDS[2:]}
+    wrong = {name for name in _LEVEL_FIELDS
+             if values[name] is not None and not _is_number(values[name])}
+    rules = _scalar_rules({name: _one_row(None if name in wrong else value)
+                           for name, value in values.items()})
     violations: list[str] = []
-    if record.chorus_id is not None and record.chorus_id not in CHORUS_IDS:
-        violations.append("chorus_id not in {0..5,999}")
-    _check_number(violations, "flow", record.flow, integer=True, minimum=0)
-    _check_number(violations, "eda", record.eda, minimum=0)
-    for ch in EEG_CHANNELS:
-        _check_number(violations, f"eeg_{ch}", getattr(record, f"eeg_{ch}"), minimum=0)
-    for part, kp in record.keypoints.items():
+    for name, field_rules in rules.items():
+        if name in wrong:
+            violations.append(f"{name} not numeric")
+        violations += [message for mask, message in field_rules if mask[0]]
+    for part, point in record.keypoints.items():
         if part not in SKELETON_PARTS:
             violations.append(f"{part}: unknown body part")
-        if not 0.0 <= kp.confidence <= 1.0:
-            violations.append(f"{part}: confidence not in [0,1]")
-        if kp.x < SENTINEL:
-            violations.append(f"{part}: x below -1")
-        if kp.y < SENTINEL:
-            violations.append(f"{part}: y below -1")
-        if (kp.x == SENTINEL) != (kp.y == SENTINEL):
-            violations.append(f"{part}: x/y sentinel mismatch")
+        axes = (_one_row(getattr(point, axis)) for axis in SKELETON_AXES)
+        violations += [message for mask, message in _keypoint_rules(part, *axes, True) if mask[0]]
     return violations
 
 
 def validate_session(session: Session) -> list[str]:
-    """Session-level invariants plus per-record violations with indices.
-
-    Array masks find the records with a violation; only those records are
-    built and checked by :func:`validate_record`, which words the messages.
-    """
+    """Session-level invariants plus per-record violations with indices,
+    each record's listed as :func:`validate_record` lists them.  The rules
+    are masks over the columns, so no Record is built."""
     if not len(session):
         return ["records empty"]
     columns = session._columns
-    position = columns["backing_track_position"]
-    clock = np.zeros(len(session), dtype=bool)
-    clock[1:] = ~(position[1:] > position[:-1])
-    chorus, flow = columns["chorus_id"], columns["flow"]
-    bad = ~np.isnan(chorus) & ~np.isin(chorus, list(CHORUS_IDS))
-    bad |= ~np.isnan(flow) & ((flow < 0) | ~np.isfinite(flow) | (flow != np.floor(flow)))
-    for name in ("eda", *(f"eeg_{ch}" for ch in EEG_CHANNELS)):
-        bad |= columns[name] < 0
+    rules = [(_not_increasing(columns["backing_track_position"]), None)]
+    for field_rules in _scalar_rules(columns).values():
+        rules += field_rules
     for part in SKELETON_PARTS:
-        x, y, confidence, present = _part(columns, part)
-        bad |= present & (~((confidence >= 0.0) & (confidence <= 1.0)) | (x < SENTINEL)
-                          | (y < SENTINEL) | ((x == SENTINEL) != (y == SENTINEL)))
-    flagged = np.flatnonzero(bad)
-    records = dict(zip(flagged.tolist(), session._build_records(flagged)))
-    violations: list[str] = []
-    for i in np.flatnonzero(clock | bad).tolist():
-        if clock[i]:
-            violations.append(f"position not strictly increasing at index {i}")
-        if bad[i]:
-            violations.extend(f"record {i}: {v}" for v in validate_record(records[i]))
-    return violations
+        rules += _keypoint_rules(part, *_part(columns, part))
+    broken = np.array([mask for mask, _ in rules]).T
+    return [f"record {i}: {rules[j][1]}" if j else f"position not strictly increasing at index {i}"
+            for i, j in np.argwhere(broken).tolist()]

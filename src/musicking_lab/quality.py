@@ -25,7 +25,6 @@ from .model import (
     _as_list,
     _column,
     canonical_columns,
-    column_values,
 )
 
 DEFAULT_IQR_K = 1.5
@@ -103,7 +102,7 @@ def outlier_report(session: Session, k: float = DEFAULT_IQR_K) -> OutlierReport:
     columns: dict[str, OutlierEntry] = {}
     for name in canonical_columns():
         try:
-            columns[name] = iqr_outliers(column_values(session, name), k=k)
+            columns[name] = iqr_outliers(_column(session, name), k=k)
         except TooFewValues:
             continue
     return OutlierReport(columns=columns)

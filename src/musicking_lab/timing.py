@@ -26,6 +26,7 @@ from .model import (
     PERFORMANCE_CHORUS_IDS,
     BeatGrid,
     Session,
+    _as_list,
     _column,
     column_values,
 )
@@ -130,13 +131,13 @@ def segment_choruses(session: Session) -> list[ChorusSegment]:
     chorus = _column(session, "chorus_id")
     if np.isnan(chorus).any():
         raise MissingChorusIds("chorus_id missing on some records")
-    starts, ends = (bounds.tolist() for bounds in runs(chorus))
-    ids = column_values(session, "chorus_id")
+    starts, ends = runs(chorus)
+    ids = _as_list(chorus[starts], integer=True)
     positions = _column(session, "backing_track_position").tolist()
-    return [ChorusSegment(chorus_id=ids[start], start_index=start, end_index=end - 1,
+    return [ChorusSegment(chorus_id=chorus_id, start_index=start, end_index=end - 1,
                           start_ms=positions[start], end_ms=positions[end - 1],
-                          performance=ids[start] in PERFORMANCE_CHORUS_IDS)
-            for start, end in zip(starts, ends)]
+                          performance=chorus_id in PERFORMANCE_CHORUS_IDS)
+            for chorus_id, start, end in zip(ids, starts.tolist(), ends.tolist())]
 
 
 def estimate_tempo(grid: BeatGrid) -> float:

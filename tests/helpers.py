@@ -12,7 +12,15 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from musicking_lab.model import Keypoint, Record, Session
+from musicking_lab.model import (
+    CHORUS_IDS,
+    EEG_CHANNELS,
+    SENTINEL,
+    SKELETON_PARTS,
+    Keypoint,
+    Record,
+    Session,
+)
 
 
 def kp(x: float, y: float, confidence: float = 0.9) -> Keypoint:
@@ -320,10 +328,53 @@ def oracle_column_values(records, name: str) -> list:
             for v in (r.extras.get(name) for r in records)]
 
 
-def oracle_validate_session(records) -> list[str]:
-    """The clock check and validate_record on every record, in record order."""
-    from musicking_lab.model import validate_record
+def _check_number(violations: list[str], label: str, value, *, integer=False,
+                  minimum=None) -> None:
+    if value is None:
+        return
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        violations.append(f"{label} not numeric")
+        return
+    if integer and not _to_float(value).is_integer():
+        violations.append(f"{label} not an integer")
+    if minimum is not None and value < minimum:
+        violations.append(f"{label} below {minimum}")
 
+
+def _to_float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def oracle_validate_record(record) -> list[str]:
+    """validate_record as it was written before the rule table: each rule
+    checked on its own, field by field."""
+    violations: list[str] = []
+    if record.chorus_id is not None and record.chorus_id not in CHORUS_IDS:
+        violations.append("chorus_id not in {0..5,999}")
+    _check_number(violations, "flow", record.flow, integer=True, minimum=0)
+    _check_number(violations, "eda", record.eda, minimum=0)
+    for ch in EEG_CHANNELS:
+        _check_number(violations, f"eeg_{ch}", getattr(record, f"eeg_{ch}"), minimum=0)
+    for part, kp in record.keypoints.items():
+        if part not in SKELETON_PARTS:
+            violations.append(f"{part}: unknown body part")
+        if not 0.0 <= kp.confidence <= 1.0:
+            violations.append(f"{part}: confidence not in [0,1]")
+        if kp.x < SENTINEL:
+            violations.append(f"{part}: x below -1")
+        if kp.y < SENTINEL:
+            violations.append(f"{part}: y below -1")
+        if (kp.x == SENTINEL) != (kp.y == SENTINEL):
+            violations.append(f"{part}: x/y sentinel mismatch")
+    return violations
+
+
+def oracle_validate_session(records) -> list[str]:
+    """The clock check and oracle_validate_record on every record, in
+    record order."""
     if not records:
         return ["records empty"]
     violations = []
@@ -333,7 +384,7 @@ def oracle_validate_session(records) -> list[str]:
             if not record.backing_track_position > prev:
                 violations.append(f"position not strictly increasing at index {i}")
             prev = record.backing_track_position
-        violations.extend(f"record {i}: {v}" for v in validate_record(record))
+        violations.extend(f"record {i}: {v}" for v in oracle_validate_record(record))
     return violations
 
 

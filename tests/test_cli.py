@@ -237,6 +237,19 @@ class TestCmdValidate:
         config = config_for(tmp_path)  # data dir never created
         assert cmd_validate(config) == 1
 
+    @pytest.mark.parametrize("session_id", ["../escaped/x", "nul\0"])
+    def test_id_that_is_not_a_file_name_writes_nothing_outside(self, tmp_path, grid, session_id):
+        ids = write_corpus(tmp_path / "data", grid, count=2, tail_count=4)
+        rows = json.loads((tmp_path / "data" / f"{ids[0]}.json").read_text())
+        for row in rows:
+            row["session_id"] = session_id
+        (tmp_path / "data" / f"{ids[0]}.json").write_text(json.dumps(rows))
+        assert main(["validate", "--dataset", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert {path.relative_to(tmp_path / "out").as_posix()
+                for path in (tmp_path / "out").rglob("*")} == \
+            {"validate", f"validate/{ids[1]}.quality.json", "validate/summary.json"}
+
     def test_no_dataset_configured(self, tmp_path):
         assert cmd_validate(RunConfig(output_dir=str(tmp_path / "out"))) == 1
 

@@ -291,10 +291,12 @@ class TestSelectK:
 # Finite rows whose squared distances overflow: a squared spread that is
 # infinite, one whose squares are finite but whose sum is not, and one whose
 # k-means++ total over the rows is not (each distance itself is finite).
+# Last, rows with no spread at all whose sum for a centroid overflows.
 OVERFLOWING = [
     [[1e200], [-1e200], [0.0], [5e199]],
     [[0.0, 0.0], [1.2e154, 1.2e154], [-1.0, 3.0], [1.2e154, 0.0]],
     [[0.0], [0.0], [1.3e154], [1.3e154]],
+    [[1.7e308]] * 4,
 ]
 
 
@@ -311,6 +313,12 @@ class TestOverflowingDistances:
                 silhouette(X, result)
             with pytest.raises(NonFinite, match="overflow"):
                 select_k(X, (2, 3), seed=0)
+
+    def test_centroid_sum_that_overflows_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="centroid overflow"):
+                kmeans_fit([[1.7e308], [1.7e308]], 1)
 
     def test_large_finite_spread_still_fits(self):
         X = np.array([[0.0], [1e150], [2e150], [3e150]])

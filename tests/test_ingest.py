@@ -86,6 +86,25 @@ class TestParseSessionFile:
         s = parse_session_file(doc([{"backing_track_position": 0}]), "stem")
         assert s.session_id == "stem"
 
+    @pytest.mark.parametrize("session_id", ["../escaped/x", "a/b", "a\\b", "nul\0", ".", ".."])
+    def test_session_id_that_is_not_a_file_name_rejected(self, session_id):
+        rows = [{"backing_track_position": 0, "session_id": None},
+                {"backing_track_position": 130, "session_id": session_id}]
+        with pytest.raises(SchemaError) as excinfo:
+            parse_session_file(doc(rows))
+        assert str(excinfo.value) == f"row 1: session_id {session_id!r} is not a file name"
+
+    def test_fallback_that_is_not_a_file_name_rejected(self):
+        with pytest.raises(SchemaError) as excinfo:
+            parse_session_file(doc([{"backing_track_position": 0, "session_id": ""}]), "..")
+        assert excinfo.value.row is None
+        assert str(excinfo.value) == "session_id '..' is not a file name"
+
+    @pytest.mark.parametrize("session_id", ["...", ".x", "a..b", "a b"])
+    def test_dotted_file_names_accepted(self, session_id):
+        rows = [{"backing_track_position": 0, "session_id": session_id}]
+        assert parse_session_file(doc(rows)).session_id == session_id
+
     def test_incomplete_keypoint_rejected(self):
         with pytest.raises(SchemaError, match="incomplete keypoint"):
             parse_session_file(doc([{
@@ -310,6 +329,14 @@ class TestDiscoverDataset:
         with pytest.raises(OSError):
             discover_dataset(tmp_path / "nope")
 
+    def test_id_that_is_not_a_file_name_skipped(self, tmp_path):
+        _write_rows(tmp_path / "a.json", "../escaped/x")
+        _write_rows(tmp_path / "b.json", "b")
+        manifest = discover_dataset(tmp_path)
+        assert manifest.session_ids() == ["b"]
+        assert manifest.skipped == ((str(tmp_path / "a.json"),
+                                     "row 0: session_id '../escaped/x' is not a file name"),)
+
     def test_record_counts(self, tmp_path):
         _write_rows(tmp_path / "a.json", "a", n=7)
         manifest = discover_dataset(tmp_path)
@@ -441,6 +468,12 @@ class TestSessionLookup:
         assert len(find_session(tmp_path, "same").records) == 5
         assert parse_calls == ["a", "b"]
         assert discover_dataset(tmp_path).entries[0].path.endswith("b.json")
+
+    @pytest.mark.parametrize("session_id", ["../x", "nul\0"])
+    def test_id_that_is_not_a_file_name_passed_over(self, tmp_path, session_id):
+        _write_rows(tmp_path / "a.json", session_id)
+        _write_rows(tmp_path / "b.json", "b")
+        assert find_session(tmp_path, session_id) is None
 
     def test_file_stem_is_the_fallback_id(self, tmp_path):
         (tmp_path / "stem.json").write_text(doc([{"backing_track_position": 0}]))
