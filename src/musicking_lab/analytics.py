@@ -10,7 +10,6 @@ crosses one.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -235,36 +234,53 @@ def _pearson_rows(xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
         return np.clip(sxy / np.sqrt(sx * sy), -1.0, 1.0)
 
 
+def _pairwise(xw: np.ndarray, yw: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each row pair's r over its complete pairs, and their count.
+
+    r is NaN for fewer than 3 complete pairs, zero variance (after ranking,
+    for Spearman) or a non-finite value.  Rows with equal counts form one
+    batch, which ranks and reduces each row on its own."""
+    complete = ~np.isnan(xw) & ~np.isnan(yw)
+    pairs = complete.sum(axis=1)
+    r = np.full(pairs.size, np.nan)
+    for m in np.flatnonzero(np.bincount(pairs)[3:]) + 3:
+        rows = pairs == m
+        xv, yv = (w[rows][complete[rows]].reshape(-1, m) for w in (xw, yw))
+        if method == "spearman":
+            xv, yv = _midranks(xv), _midranks(yv)
+        r[rows] = _pearson_rows(xv, yv)
+    return r, pairs
+
+
+def _stack(method: str, *series: Sequence[float | None]) -> np.ndarray:
+    """The series as the rows of one float array, once method and lengths check out."""
+    if method not in ("pearson", "spearman"):
+        raise ValueError(f"method must be 'pearson' or 'spearman', got {method!r}")
+    arrays = [as_array(values) for values in series]
+    for other in arrays[1:]:
+        if other.size != arrays[0].size:
+            raise ValueError(f"length mismatch: {arrays[0].size} vs {other.size}")
+    return np.array(arrays)
+
+
 def correlate(x: Sequence[float | None], y: Sequence[float | None],
               method: str = "pearson") -> float:
     """Pearson or Spearman coefficient over pairwise-complete pairs.
 
-    Spearman is Pearson on average-tied (midrank) ranks.  This is the
-    one-row case of the kernel that ``windowed_correlation`` batches.
+    Spearman is Pearson on average-tied (midrank) ranks.
 
     Raises:
         TooFewPairs: Fewer than 3 pairwise non-null pairs.
         DegenerateSeries: Zero variance in either input (after ranking,
             for Spearman), or a non-finite value.
     """
-    if method not in ("pearson", "spearman"):
-        raise ValueError(f"method must be 'pearson' or 'spearman', got {method!r}")
-    ax, ay = as_array(x), as_array(y)
-    if ax.size != ay.size:
-        raise ValueError(f"length mismatch: {ax.size} vs {ay.size}")
-    mask = ~np.isnan(ax) & ~np.isnan(ay)
-    if int(mask.sum()) < 3:
-        raise TooFewPairs(f"need >= 3 complete pairs, got {int(mask.sum())}")
-    r = float(_correlate_rows(ax[mask][None], ay[mask][None], method)[0])
-    if math.isnan(r):
+    xy = _stack(method, x, y)
+    r, pairs = _pairwise(xy[:1], xy[1:], method)
+    if pairs[0] < 3:
+        raise TooFewPairs(f"need >= 3 complete pairs, got {int(pairs[0])}")
+    if np.isnan(r[0]):
         raise DegenerateSeries("zero variance or a non-finite value: correlation undefined")
-    return r
-
-
-def _correlate_rows(xv: np.ndarray, yv: np.ndarray, method: str) -> np.ndarray:
-    if method == "spearman":
-        xv, yv = _midranks(xv), _midranks(yv)
-    return _pearson_rows(xv, yv)
+    return float(r[0])
 
 
 @dataclass(frozen=True)
@@ -280,24 +296,17 @@ class CorrelationMatrix:
 
 def correlation_matrix(columns: Mapping[str, Sequence[float | None]],
                        method: str = "pearson") -> CorrelationMatrix:
-    """Pairwise correlations of named series.
-
-    The diagonal is 1 by definition; pairs that are degenerate or too
-    sparse yield None cells instead of raising.
-    """
+    """Pairwise correlations of named series, each as ``correlate`` gives it
+    or None where it raises; the diagonal is 1 by definition."""
     names = tuple(columns)
     if len(names) < 2:
         raise ValueError("correlation matrix needs >= 2 columns")
-    cells: list[list[float | None]] = [[None] * len(names) for _ in names]
-    for i, a in enumerate(names):
-        cells[i][i] = 1.0
-        for j in range(i + 1, len(names)):
-            try:
-                r = correlate(columns[a], columns[names[j]], method=method)
-            except (TooFewPairs, DegenerateSeries):
-                r = None
-            cells[i][j] = cells[j][i] = r
-    return CorrelationMatrix(names=names, values=tuple(tuple(row) for row in cells))
+    stacked = _stack(method, *columns.values())
+    i, j = np.triu_indices(len(names), 1)
+    cells = np.eye(len(names))
+    cells[i, j] = cells[j, i] = _pairwise(stacked[i], stacked[j], method)[0]
+    return CorrelationMatrix(names=names, values=tuple(
+        tuple(None if v != v else v for v in row) for row in cells.tolist()))
 
 
 def windowed_correlation(x: Sequence[float | None], y: Sequence[float | None],
@@ -307,30 +316,18 @@ def windowed_correlation(x: Sequence[float | None], y: Sequence[float | None],
 
     Only full windows are evaluated; windows start every ``step_samples``.
     A window of fewer than 3 complete pairs, zero variance or a non-finite
-    value gives None.  Windows with equal counts of complete pairs go
-    through ``correlate``'s kernel as one batch.
+    value gives None.
     """
     if window_samples < 3:
         raise ValueError(f"window_samples must be >= 3, got {window_samples}")
     if step_samples < 1:
         raise ValueError(f"step_samples must be >= 1, got {step_samples}")
-    if method not in ("pearson", "spearman"):
-        raise ValueError(f"method must be 'pearson' or 'spearman', got {method!r}")
-    ax, ay = as_array(x), as_array(y)
-    if ax.size != ay.size:
-        raise ValueError(f"length mismatch: {ax.size} vs {ay.size}")
+    ax, ay = _stack(method, x, y)
     if ax.size < window_samples:
         return []
-    wx, wy = (sliding_window_view(a, window_samples)[::step_samples] for a in (ax, ay))
-    complete = ~np.isnan(wx) & ~np.isnan(wy)
-    pairs = complete.sum(axis=1)
-    r = np.full(pairs.size, np.nan)
-    for m in np.flatnonzero(np.bincount(pairs)[3:]) + 3:
-        rows = pairs == m
-        xv, yv = (w[rows][complete[rows]].reshape(-1, m) for w in (wx, wy))
-        r[rows] = _correlate_rows(xv, yv, method)
-    starts = range(0, ax.size - window_samples + 1, step_samples)
-    return [(start, None if v != v else v) for start, v in zip(starts, r.tolist())]
+    r, _ = _pairwise(*(sliding_window_view(a, window_samples)[::step_samples]
+                       for a in (ax, ay)), method)
+    return [(k * step_samples, None if v != v else v) for k, v in enumerate(r.tolist())]
 
 
 def mean_trajectory(session: Session, parts: Sequence[str],
@@ -373,6 +370,7 @@ def occupancy_grid(xs: Sequence[float | None], ys: Sequence[float | None],
 
     Raises:
         NoValidPoints: Every sample is sentinel or null.
+        NonFinite: An infinite coordinate among the valid samples.
         ValueError: Grid dimensions < 1.
     """
     if grid_w < 1 or grid_h < 1:
@@ -384,6 +382,8 @@ def occupancy_grid(xs: Sequence[float | None], ys: Sequence[float | None],
     if not mask.any():
         raise NoValidPoints("no non-sentinel (x, y) samples")
     px, py = ax[mask], ay[mask]
+    if not (np.isfinite(px).all() and np.isfinite(py).all()):
+        raise NonFinite("occupancy grid of an infinite coordinate")
     counts = np.zeros((grid_h, grid_w), dtype=int)
     col = _cells(px, grid_w)
     row = _cells(py, grid_h)

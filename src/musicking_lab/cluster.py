@@ -132,21 +132,16 @@ def _means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Each start's cluster means, summed as ``X[labels[s] == c].mean(axis=0)`` sums.
 
     numpy sums rows of two or more columns one after another from +0.0, as
-    ``np.bincount`` does, but one column pairwise, which only a block of the
-    group's exact length reproduces.
+    ``np.bincount`` does, but one column pairwise, so there each cluster's
+    rows are summed by that same ``sum``.
     """
-    starts, n = labels.shape
+    starts = len(labels)
     group = (labels + k * np.arange(starts)[:, None]).ravel()
     counts = np.bincount(group, minlength=starts * k)
     if X.shape[1] > 1:
         sums = np.stack([np.bincount(group, w, starts * k) for w in np.tile(X.T, starts)], axis=1)
     else:
-        column = X[np.argsort(group, kind="stable") % n, 0]
-        first = np.cumsum(counts) - counts
-        sums = np.empty((starts * k, 1))
-        for count in set(counts.tolist()):
-            same = counts == count
-            sums[same, 0] = column[first[same, None] + np.arange(count)].sum(axis=1)
+        sums = np.array([X[lab == c].sum(axis=0) for lab in labels for c in range(k)])
     return (sums / counts[:, None]).reshape(starts, k, -1)
 
 

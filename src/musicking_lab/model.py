@@ -16,12 +16,12 @@ and the column lookup derive from it.  A skeleton part is present in a
 record when any of its three columns is not NaN.  ``Session.records`` is a
 view of ``Record`` objects built from the columns on first use.  A session
 built in code from records must hold numbers or ``None`` in every canonical
-field, name only known skeleton parts and give each keypoint all three axes
-or none, as ingest requires of a file; anything else raises
-``InvariantError`` naming the record.  A number is an ``int`` or a
-``float`` other than NaN (a null is ``None``), as ``validate_record``
-counts them: a numpy float64 is a float, a numpy integer is not.
-Sessions pickle and copy by their columns.
+field and a number in every master clock, name only known skeleton parts
+and give each keypoint all three axes or none, as ingest requires of a
+file; anything else raises ``InvariantError`` naming the record.  A number
+is an ``int`` or a ``float`` other than NaN (a null is ``None``), as
+``validate_record`` counts them: a numpy float64 is a float, a numpy
+integer is not.  Sessions pickle and copy by their columns.
 
 Validation is data, not control flow: ``validate_record`` and
 ``validate_session`` return lists of human-readable violation strings and
@@ -84,9 +84,6 @@ class Keypoint:
     x: float
     y: float
     confidence: float
-
-    def is_sentinel(self) -> bool:
-        return self.x == SENTINEL and self.y == SENTINEL
 
 
 @dataclass(frozen=True)
@@ -224,9 +221,9 @@ class Session:
 
     Raises:
         InvariantError: A canonical value of a record is not a number
-            (NaN is not one) or None, a keypoint names an unknown
-            skeleton part, or some but not all of a keypoint's axes are
-            None.
+            (NaN is not one) or None, a master clock is None, a keypoint
+            names an unknown skeleton part, or some but not all of a
+            keypoint's axes are None.
     """
 
     __slots__ = ("session_id", "records", "_columns", "_extras")
@@ -256,6 +253,10 @@ class Session:
             if bad.any():
                 i = int(bad.argmax())
                 raise InvariantError(f"record {i}: {label} is not a number: {values[i]!r}")
+        missing = np.isnan(columns["backing_track_position"])
+        if missing.any():
+            raise InvariantError(f"record {int(missing.argmax())}: "
+                                 "required field backing_track_position missing")
         # A keypoint has all three axes or none, as ingest requires of a file.
         incomplete = np.array([_incomplete([np.isnan(columns[f"{part}_{axis}"])
                                             for axis in SKELETON_AXES])

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytics
 from ._series import runs
-from .errors import MissingChorusIds, OutOfTrack, TooFewBeats, TooFewRecords
+from .errors import InvariantError, MissingChorusIds, OutOfTrack, TooFewBeats, TooFewRecords
 from .model import (
     NONPERFORMANCE_CHORUS_IDS,
     PERFORMANCE_CHORUS_IDS,
@@ -86,18 +86,21 @@ def infer_sampling_rate(session: Session, hist_bins: int = 20) -> SamplingProfil
 
     Raises:
         TooFewRecords: Fewer than 2 records, so no interval exists.
+        InvariantError: The mean interval is not above 0 ms.
     """
     if len(session) < 2:
         raise TooFewRecords("sampling rate needs >= 2 records")
     intervals = np.diff(_column(session, "backing_track_position"))
     mean_ms = float(intervals.mean())
+    if not mean_ms > 0:
+        raise InvariantError(f"mean position interval must be > 0 ms, got {mean_ms!r}")
     rate = 1000.0 / mean_ms
     return SamplingProfile(
         mean_interval_ms=mean_ms,
         median_interval_ms=float(np.median(intervals)),
         rate_hz=rate,
         nyquist_hz=rate / 2.0,
-        interval_histogram=tuple(analytics.histogram(intervals.tolist(), hist_bins)),
+        interval_histogram=tuple(analytics.histogram(intervals, hist_bins)),
     )
 
 

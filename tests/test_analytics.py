@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -407,6 +408,30 @@ class TestCorrelationMatrix:
         with pytest.raises(ValueError):
             correlation_matrix({"a": [1, 2, 3]})
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda c: st.integers(0, 12).flatmap(lambda n: st.lists(
+               st.lists(st.none() | st.sampled_from([0.0, -0.0, 1.0, 3.0]) | moderate,
+                        min_size=n, max_size=n)
+               | st.tuples(moderate | st.just(-0.0),
+                           st.lists(st.booleans(), min_size=n, max_size=n)).map(
+                   lambda drawn: [None if null else drawn[0] for null in drawn[1]]),
+               min_size=c, max_size=c))),
+           st.sampled_from(["pearson", "spearman"]))
+    def test_matches_pairwise_reference(self, columns, method):
+        # Random nulls give the pairs different complete counts, some below
+        # 3; the second kind of column is constant apart from its nulls.
+        m = correlation_matrix({f"c{i}": col for i, col in enumerate(columns)}, method)
+        for i, a in enumerate(columns):
+            assert m.values[i][i] == 1.0
+            for j, b in enumerate(columns):
+                if i == j:
+                    continue
+                try:
+                    expected = reference_correlate(a, b, method)
+                except (TooFewPairs, DegenerateSeries):
+                    expected = None
+                assert repr(m.values[i][j]) == repr(expected)
+
 
 class TestWindowedCorrelation:
     def test_identical_series_all_one(self):
@@ -527,3 +552,42 @@ class TestOccupancyGrid:
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             occupancy_grid([1.0], [1.0], 0, 2)
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([0.0, math.inf], [0.0, 1.0]),
+        ([0.0, 1.0, None], [-math.inf, 1.0, 2.0]),
+    ])
+    def test_infinite_coordinate(self, xs, ys):
+        with pytest.raises(NonFinite):
+            occupancy_grid(xs, ys, 2, 2)
+
+    def test_infinite_coordinate_of_an_invalid_point_is_ignored(self):
+        out = occupancy_grid([0.0, 1.0, math.inf], [0.0, 1.0, None], 2, 2)
+        assert out.sum() == 2
+
+
+METHOD_MESSAGE = "method must be 'pearson' or 'spearman', got 'kendall'"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: histogram([1.0], 0), "bins must be >= 1, got 0"),
+    (lambda: rolling_stat([1.0], 0), "window_samples must be >= 1, got 0"),
+    (lambda: rolling_stat([1.0], 1, "median"), "kind must be 'mean' or 'variance', got 'median'"),
+    (lambda: detect_peaks([1.0], 0), "min_distance_samples must be >= 1, got 0"),
+    (lambda: detect_peaks([1.0], 1, -0.5), "min_prominence must be >= 0, got -0.5"),
+    (lambda: windowed_correlation([1, 2, 3], [1, 2, 3], 3, 0), "step_samples must be >= 1, got 0"),
+    (lambda: correlate([1, 2, 3], [1, 2]), "length mismatch: 3 vs 2"),
+    (lambda: correlation_matrix({"a": [1, 2], "b": [1, 2], "c": [1, 2, 3]}),
+     "length mismatch: 2 vs 3"),
+    (lambda: windowed_correlation([1, 2, 3], [1, 2], 3), "length mismatch: 3 vs 2"),
+    (lambda: occupancy_grid([1.0], [1.0, 2.0], 2, 2), "length mismatch: 1 vs 2"),
+    (lambda: correlate([1, 2, 3], [1, 2, 3], "kendall"), METHOD_MESSAGE),
+    (lambda: correlation_matrix({"a": [1], "b": [1, 2]}, "kendall"), METHOD_MESSAGE),
+    (lambda: windowed_correlation([1, 2], [1, 2], 3, method="kendall"), METHOD_MESSAGE),
+], ids=["bins", "window", "kind", "min-distance", "prominence", "step", "correlate-lengths",
+        "matrix-lengths", "windowed-lengths", "grid-lengths", "correlate-method",
+        "matrix-method-before-lengths", "windowed-method-on-short-series"])
+def test_argument_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
+        call()
+    assert exc.type is ValueError

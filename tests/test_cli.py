@@ -41,6 +41,15 @@ def write_corpus(directory: Path, grid, count=3, **kwargs) -> list[str]:
     return ids
 
 
+def write_rows(directory: Path, session_id: str, n: int, **columns) -> None:
+    """A session file of n records 130 ms apart; each keyword gives a
+    column's per-record values, None for null."""
+    directory.mkdir(parents=True, exist_ok=True)
+    rows = [{"backing_track_position": 130.0 * i, "session_id": session_id,
+             **{key: values[i] for key, values in columns.items()}} for i in range(n)]
+    (directory / f"{session_id}.json").write_text(json.dumps(rows))
+
+
 def config_for(tmp_path: Path, **kwargs) -> RunConfig:
     defaults = dict(dataset_dir=str(tmp_path / "data"),
                     output_dir=str(tmp_path / "out"))
@@ -327,6 +336,25 @@ class TestCmdAnalyze:
         rolling = sections["rolling_tracks"]
         assert all(v is None for v in rolling["eda_mean"])  # window longer than data
 
+    def test_no_eda_and_no_sampling_rate(self, tmp_path):
+        write_rows(tmp_path / "data", "noeda", 5)
+        write_rows(tmp_path / "data", "single", 1, hardware_bitalino_eda=[400])
+        config = config_for(tmp_path)
+
+        def sections(session_id):
+            assert cmd_analyze(config, session_id) == 0
+            bundle = tmp_path / "out" / "analyze" / session_id / "analysis.json"
+            return json.loads(bundle.read_text())["sections"]
+
+        noeda = sections("noeda")
+        assert noeda["summaries"]["eda"]["status"] == "insufficient data"
+        assert noeda["eda_peaks"] == {"status": "insufficient data", "reason": "no EDA values"}
+        assert noeda["rolling_tracks"]["window_samples"] >= 1
+        single = sections("single")
+        unavailable = {"status": "insufficient data", "reason": "sampling rate unavailable"}
+        assert single["sampling_profile"]["status"] == "insufficient data"
+        assert single["rolling_tracks"] == single["eda_peaks"] == unavailable
+
     def test_missing_grid_exit_one(self, tmp_path, grid):
         ids = write_corpus(tmp_path / "data", grid, count=1)
         config = config_for(tmp_path, beat_grid_path=str(tmp_path / "nope.json"))
@@ -353,6 +381,45 @@ class TestCmdCompare:
         assert 0 < len(top) <= 5
         some = next(iter(top.values()))
         assert {c["chorus_id"] for c in some["choruses"]} <= {1, 2, 3, 4, 5}
+
+    def test_include_nonperformance_keeps_every_record(self, tmp_path, grid):
+        ids = write_corpus(tmp_path / "data", grid, count=2)
+
+        def counts(*flags):
+            assert main(["compare", "--dataset", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "out"), *flags]) == 0
+            lines = (tmp_path / "out" / "compare" / "eda_summary.csv").read_text().splitlines()
+            return {line.split(",")[0]: int(line.split(",")[1]) for line in lines[1:]}
+
+        lengths = {sid: len(json.loads((tmp_path / "data" / f"{sid}.json").read_text()))
+                   for sid in ids}
+        assert counts("--include-nonperformance") == lengths
+        # the 20 lead-in (chorus 0) and 59 tail (chorus 999) records
+        assert counts() == {sid: n - 79 for sid, n in lengths.items()}
+
+    def test_insufficient_data_sections(self, tmp_path):
+        data = tmp_path / "data"
+        flow = [40 + i for i in range(10)]
+        write_rows(data, "full", 10, hardware_bitalino_eda=[400 + i * i for i in range(10)],
+                   flow=flow, sync_chorus_id=[1] * 10)
+        write_rows(data, "noeda", 10, flow=flow, sync_chorus_id=[1] * 10)
+        write_rows(data, "nochorus", 10, hardware_bitalino_eda=[400 + i % 3 for i in range(10)],
+                   flow=flow)
+        write_rows(data, "single", 10, hardware_bitalino_eda=[410] + [None] * 9, flow=flow,
+                   sync_chorus_id=[1] * 10)
+        assert cmd_compare(config_for(tmp_path)) == 0
+        out = tmp_path / "out" / "compare"
+        lines = (out / "eda_summary.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["full", "nochorus", "single"]
+        box = json.loads((out / "boxplot.json").read_text())
+        assert box["single"] == {"status": "insufficient data"}
+        assert "median" in box["full"]
+        assert json.loads((out / "anova.json").read_text()) == {
+            "status": "insufficient data", "reason": "group 2 has 1 non-null values, needs >= 2"}
+        top = json.loads((out / "top_correlated.json").read_text())
+        assert set(top) == {"full", "nochorus"}
+        assert top["nochorus"]["choruses"] == []
+        assert [c["chorus_id"] for c in top["full"]["choruses"]] == [1]
 
     def test_too_few_sessions(self, tmp_path, grid):
         write_corpus(tmp_path / "data", grid, count=1)
@@ -415,6 +482,24 @@ class TestCmdCluster:
         with caplog.at_level("WARNING", logger="musicking_lab"):
             assert cmd_cluster(config, "flat", "eda") == 0
         assert any("degenerate" in r.message for r in caplog.records)
+
+    def test_extras_column_clusters_as_its_values(self, tmp_path, grid):
+        from dataclasses import replace
+        from musicking_lab.model import Session
+        session = performance_session(grid, seed=0, session_id="extra")
+        records = [replace(r, extras={"pulse": r.eda}) for r in session.records]
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "extra.json").write_text(serialize_session(Session("extra", records)))
+        results = {}
+        for column in ("pulse", "eda"):
+            config = config_for(tmp_path, output_dir=str(tmp_path / column))
+            assert cmd_cluster(config, "extra", column) == 0
+            path = tmp_path / column / "cluster" / "extra" / "cluster_result.json"
+            results[column] = json.loads(path.read_text())
+        assert results["pulse"].pop("column") == "pulse"
+        assert results["eda"].pop("column") == "eda"
+        assert results["pulse"] == results["eda"]
 
     def test_cli_exit_codes_via_main(self, tmp_path, grid):
         ids = write_corpus(tmp_path / "data", grid, count=1)

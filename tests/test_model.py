@@ -306,6 +306,13 @@ class TestSessionColumns:
         with pytest.raises(ValueError):
             back._columns["eda"][0] = 7.0
 
+    def test_null_clock_names_the_record(self):
+        # ingest refuses the same row as "required field ... missing"
+        records = [make_record(0.0), Record(None), make_record(260.0)]
+        with pytest.raises(InvariantError,
+                           match="^record 1: required field backing_track_position missing$"):
+            Session("s", records)
+
     def test_unknown_part_names_the_record(self):
         records = [make_record(0.0), make_record(1.0, keypoints={"tail": kp(1.0, 2.0)})]
         with pytest.raises(InvariantError, match="record 1: tail: unknown body part"):

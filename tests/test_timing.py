@@ -12,6 +12,7 @@ from helpers import (
 )
 from musicking_lab.cluster import bar_features
 from musicking_lab.errors import (
+    InvariantError,
     MissingChorusIds,
     OutOfTrack,
     TooFewBeats,
@@ -71,6 +72,12 @@ class TestSamplingRate:
     def test_too_few(self):
         with pytest.raises(TooFewRecords):
             infer_sampling_rate(session_of([0]))
+
+    @pytest.mark.parametrize("positions, mean", [([0.0, 0.0], "0.0"), ([0.0, -130.0], "-130.0")])
+    def test_clock_that_does_not_advance(self, positions, mean):
+        with pytest.raises(InvariantError,
+                           match=f"^mean position interval must be > 0 ms, got {mean}$"):
+            infer_sampling_rate(session_of(positions))
 
     def test_histogram_counts_sum_to_intervals(self):
         profile = infer_sampling_rate(session_of([0, 125, 250, 375, 500]))
