@@ -66,10 +66,13 @@ def describe(values: Sequence[float | None]) -> SeriesSummary:
 
     Raises:
         EmptySeries: No non-null value.
+        NonFinite: An infinite value.
     """
     clean = nonnull(as_array(values))
     if clean.size == 0:
         raise EmptySeries("describe needs at least one non-null value")
+    if not np.isfinite(clean).all():
+        raise NonFinite("describe of an infinite value")
     q25, median, q75 = np.percentile(clean, [25.0, 50.0, 75.0])
     return SeriesSummary(
         count=int(clean.size),
@@ -392,8 +395,12 @@ def occupancy_grid(xs: Sequence[float | None], ys: Sequence[float | None],
 
 
 def _cells(coords: np.ndarray, n: int) -> np.ndarray:
-    lo, hi = float(coords.min()), float(coords.max())
+    # Binned by halves, so no difference overflows however wide the range.
+    # Halving a normal double is exact, so each quotient keeps its bits; a
+    # range of one subnormal step halves to nothing and bins as one cell.
+    half = coords / 2
+    lo, hi = float(half.min()), float(half.max())
     if hi == lo:
         return np.zeros(coords.size, dtype=int)
-    idx = ((coords - lo) / (hi - lo) * n).astype(int)
+    idx = ((half - lo) / (hi - lo) * n).astype(int)
     return np.minimum(idx, n - 1)

@@ -534,32 +534,33 @@ def cmd_cluster(config: RunConfig, session_id: str, column: str = "eda") -> int:
 
 # -- entry point ---------------------------------------------------------------
 
+# Every command once: its help, its cmd_* function, and the flags whose
+# values that function takes after the config, in order.
+_COMMANDS = {
+    "validate": ("audit data quality of every session", cmd_validate, ()),
+    "analyze": ("deep dive into one session", cmd_analyze, ("--session",)),
+    "compare": ("cross-session statistics and ANOVA", cmd_compare, ()),
+    "cluster": ("per-bar KMeans clustering", cmd_cluster, ("--session", "--column")),
+}
+_COMMAND_FLAGS = {"--session": {"required": True}, "--column": {"default": "eda"}}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="musicking-lab",
         description="Validate, synchronize, and analyze multimodal "
                     "music-performance session recordings.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, (help_text, _, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        for _, flag, reader, help_text in _SETTINGS:
+        for _, flag, reader, flag_help in _SETTINGS:
             if reader is _read_bool:
-                p.add_argument(flag, action="store_true", help=help_text)
+                p.add_argument(flag, action="store_true", help=flag_help)
             else:
-                p.add_argument(flag, help=help_text)
-
-    p_validate = sub.add_parser("validate", help="audit data quality of every session")
-    common(p_validate)
-    p_analyze = sub.add_parser("analyze", help="deep dive into one session")
-    common(p_analyze)
-    p_analyze.add_argument("--session", required=True)
-    p_compare = sub.add_parser("compare", help="cross-session statistics and ANOVA")
-    common(p_compare)
-    p_cluster = sub.add_parser("cluster", help="per-bar KMeans clustering")
-    common(p_cluster)
-    p_cluster.add_argument("--session", required=True)
-    p_cluster.add_argument("--column", default="eda")
+                p.add_argument(flag, help=flag_help)
+        for flag in flags:
+            p.add_argument(flag, **_COMMAND_FLAGS[flag])
     return parser
 
 
@@ -572,22 +573,15 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         log.error("%s", exc)
         return 1
+    _, command, flags = _COMMANDS[args.command]
     try:
         # Overflows, and the NaNs they lead to, are reported where their
         # results are refused, not as warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            if args.command == "validate":
-                return cmd_validate(config)
-            if args.command == "analyze":
-                return cmd_analyze(config, args.session)
-            if args.command == "compare":
-                return cmd_compare(config)
-            if args.command == "cluster":
-                return cmd_cluster(config, args.session, args.column)
+            return command(config, *(getattr(args, flag[2:]) for flag in flags))
     except (MusickingError, OSError) as exc:
         log.error("%s", exc)
         return 1
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

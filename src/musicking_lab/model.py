@@ -221,9 +221,9 @@ class Session:
 
     Raises:
         InvariantError: A canonical value of a record is not a number
-            (NaN is not one) or None, a master clock is None, a keypoint
-            names an unknown skeleton part, or some but not all of a
-            keypoint's axes are None.
+            (NaN is not one) or None, a master clock is None or not
+            finite, a keypoint names an unknown skeleton part, or some but
+            not all of a keypoint's axes are None.
     """
 
     __slots__ = ("session_id", "records", "_columns", "_extras")
@@ -257,6 +257,10 @@ class Session:
         if missing.any():
             raise InvariantError(f"record {int(missing.argmax())}: "
                                  "required field backing_track_position missing")
+        infinite = np.isinf(columns["backing_track_position"])
+        if infinite.any():
+            raise InvariantError(f"record {int(infinite.argmax())}: "
+                                 "backing_track_position is not finite")
         # A keypoint has all three axes or none, as ingest requires of a file.
         incomplete = np.array([_incomplete([np.isnan(columns[f"{part}_{axis}"])
                                             for axis in SKELETON_AXES])

@@ -3,8 +3,7 @@ median imputation, and bounded gap interpolation.
 
 Imputation policy follows the dataset's character: flow and sync_delta are
 sensible to impute, skeleton sentinels are not (they are kept verbatim as a
-quality signal and merely counted here).  All functions are pure and
-parallelizable per column.
+quality signal and merely counted here).  All functions are pure.
 """
 
 from __future__ import annotations

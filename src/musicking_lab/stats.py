@@ -113,7 +113,8 @@ def anova_oneway(groups: Sequence[Sequence[float | None]]) -> AnovaResult:
             non-null observations.
         DegenerateVariance: Zero within-group variance everywhere, which
             leaves F undefined.
-        NonFinite: The sums of squares or F overflow double precision.
+        NonFinite: An infinite value, or the sums of squares or F
+            overflow double precision.
     """
     cleaned = [nonnull(as_array(g)) for g in groups]
     if len(cleaned) < 2:
@@ -121,6 +122,8 @@ def anova_oneway(groups: Sequence[Sequence[float | None]]) -> AnovaResult:
     for i, g in enumerate(cleaned):
         if g.size < 2:
             raise TooFewGroups(f"group {i} has {g.size} non-null values, needs >= 2")
+        if not np.isfinite(g).all():
+            raise NonFinite(f"ANOVA of an infinite value (group {i})")
 
     sizes = np.array([g.size for g in cleaned], dtype=float)
     means = np.array([g.mean() for g in cleaned])

@@ -86,15 +86,24 @@ def infer_sampling_rate(session: Session, hist_bins: int = 20) -> SamplingProfil
 
     Raises:
         TooFewRecords: Fewer than 2 records, so no interval exists.
-        InvariantError: The mean interval is not above 0 ms.
+        InvariantError: An interval, or their sum, overflows double
+            precision (a finite clock can span more than the largest
+            double), the mean interval is not above 0 ms, or it is so
+            small (a few subnormal steps) that the rate overflows.
     """
     if len(session) < 2:
         raise TooFewRecords("sampling rate needs >= 2 records")
-    intervals = np.diff(_column(session, "backing_track_position"))
-    mean_ms = float(intervals.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        intervals = np.diff(_column(session, "backing_track_position"))
+        mean_ms = float(intervals.mean())
+    if not (np.isfinite(intervals).all() and np.isfinite(mean_ms)):
+        raise InvariantError("position intervals overflow double precision")
     if not mean_ms > 0:
         raise InvariantError(f"mean position interval must be > 0 ms, got {mean_ms!r}")
     rate = 1000.0 / mean_ms
+    if not np.isfinite(rate):
+        raise InvariantError(f"sampling rate overflows double precision "
+                             f"(mean interval {mean_ms!r} ms)")
     return SamplingProfile(
         mean_interval_ms=mean_ms,
         median_interval_ms=float(np.median(intervals)),

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import mpmath
@@ -45,6 +46,10 @@ from musicking_lab.errors import (
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 series_st = st.lists(st.none() | finite, max_size=50)
 moderate = finite.filter(lambda v: abs(v) >= 1e-6)
+# 0, or normal doubles whose halves are normal too, in a range whose
+# differences stay below the largest double; -1 is the sentinel.
+normal_coordinate = (st.just(0.0) | st.floats(2.0**-1021, 8e307)
+                     | st.floats(-8e307, -2.0**-1021)).filter(lambda v: v != -1.0)
 
 
 class TestDescribe:
@@ -61,6 +66,12 @@ class TestDescribe:
     def test_empty(self):
         with pytest.raises(EmptySeries):
             describe([None, None])
+
+    @pytest.mark.parametrize("values", [[1, math.inf], [None, -math.inf, 2.0]])
+    def test_infinite_value(self, values):
+        with pytest.raises(NonFinite, match="^describe of an infinite value$") as exc:
+            describe(values)
+        assert exc.type is NonFinite
 
     def test_single_value(self):
         s = describe([4])
@@ -564,6 +575,30 @@ class TestOccupancyGrid:
     def test_infinite_coordinate_of_an_invalid_point_is_ignored(self):
         out = occupancy_grid([0.0, 1.0, math.inf], [0.0, 1.0, None], 2, 2)
         assert out.sum() == 2
+
+    @pytest.mark.parametrize("xs", [
+        [-1e308, 1e308],
+        [-sys.float_info.max, sys.float_info.max],
+    ], ids=["wide", "widest"])
+    def test_range_wider_than_the_largest_double(self, xs):
+        out = occupancy_grid(xs, [0.0, 1.0], 2, 2)
+        assert out.tolist() == [[1, 0], [0, 1]]
+
+    @given(st.lists(normal_coordinate, min_size=1, max_size=40), st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_cells_match_direct_differences_over_normal_coordinates(self, xs, n):
+        # Halving is exact in this range, so the cells are those of the
+        # direct differences, which do not overflow here.
+        coords = np.array(xs)
+        lo, hi = coords.min(), coords.max()
+        if hi == lo:
+            expected = np.zeros(coords.size, dtype=int)
+        else:
+            expected = np.minimum(((coords - lo) / (hi - lo) * n).astype(int), n - 1)
+        # Each value's cell, one point at a time against the set's range.
+        for x, cell in zip(xs, expected.tolist()):
+            grid = occupancy_grid([lo, hi, x], [0.0, 0.0, 1.0], n, 2)
+            assert grid[1].tolist().index(1) == cell
 
 
 METHOD_MESSAGE = "method must be 'pearson' or 'spearman', got 'kendall'"

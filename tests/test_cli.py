@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,9 @@ import pytest
 from helpers import performance_session
 import musicking_lab
 from musicking_lab.cli import (
+    _COMMAND_FLAGS,
+    _COMMANDS,
+    _SETTINGS,
     RunConfig,
     build_parser,
     cmd_analyze,
@@ -624,6 +629,22 @@ class TestFiniteButHugeValues:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR") and "Too many bins" in lines[0]
 
+    @pytest.mark.parametrize("clock, message", [
+        ((-1.7e308, 1.7e308), "position intervals overflow double precision"),
+        ((0.0, 5e-324, 1e-323), "sampling rate overflows double precision "
+                                "(mean interval 5e-324 ms)"),
+    ], ids=["interval beyond the largest double", "subnormal intervals"])
+    def test_analyze_on_a_clock_it_cannot_read(self, tmp_path, clock, message):
+        # Finite and strictly increasing, so ingest takes it.
+        data = tmp_path / "data"
+        data.mkdir()
+        rows = [{"session_id": "w", "backing_track_position": t} for t in clock]
+        (data / "w.json").write_text(json.dumps(rows))
+        proc = _run_module(["analyze", "--session", "w", "--dataset", str(data),
+                            "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert proc.stderr.strip().splitlines() == [f"ERROR {message}"]
+
     def test_via_main(self, tmp_path):
         write_huge_eda_corpus(tmp_path / "data")
         argv = ["--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
@@ -634,3 +655,78 @@ class TestFiniteButHugeValues:
         with pytest.raises(NonFinite, match="bad.json"):
             write_json(tmp_path / "bad.json", {"x": float("inf")})
         assert not (tmp_path / "bad.json").exists()
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--session", "x"],
+        ["compare", "--column", "eda"],
+        ["validate", "--column", "eda"],
+        ["analyze", "--column", "eda", "--session", "x"],
+        ["analyze"],
+        ["cluster"],
+        ["cluster", "--column", "eda"],
+        ["unknown"],
+        [],
+    ], ids=["validate-session", "compare-column", "validate-column", "analyze-column",
+            "analyze-no-session", "cluster-no-session", "cluster-column-only",
+            "unknown-command", "no-command"])
+    def test_usage_error_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: musicking-lab" in capsys.readouterr().err
+
+    def test_cluster_column_defaults_to_eda(self):
+        args = build_parser().parse_args(["cluster", "--session", "x"])
+        assert (args.command, args.session, args.column) == ("cluster", "x", "eda")
+
+    def test_session_and_column_reach_their_command(self):
+        args = build_parser().parse_args(["cluster", "--session", "x", "--column", "flow"])
+        assert (args.session, args.column) == ("x", "flow")
+        args = build_parser().parse_args(["analyze", "--session", "y"])
+        assert args.session == "y" and not hasattr(args, "column")
+
+    # The sha256 of each --help text at an 80-column terminal: every
+    # command, flag and help string of the parser, pinned byte for byte.
+    HELP_DIGESTS = {
+        "":
+            "713f74a0eb8be19a79f63272be350795cd77912967494398715ac504047a59aa",
+        "analyze":
+            "6cfa6dd7ff38e629db4993b9a01954c3ee10bc35e21ee2931d6c8c6a2a5fc6bb",
+        "cluster":
+            "366ae962ecbe7b5dcedeb1c218849215f01e4d8d29509bedc2ff541b15245430",
+        "compare":
+            "086cc608aceae59e0cba838980a87225a1418f10f3184851c393713b825dc3f5",
+        "validate":
+            "1d27adfacbba0b2795b45f555181d0f87f0956bbd7ac36baacbab6b5becc7d99",
+    }
+
+    @pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+    def test_help_text_is_pinned(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*command.split(), "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == self.HELP_DIGESTS[command]
+
+
+def test_readme_cli_section_names_every_command_and_flag():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    for command in _COMMANDS:
+        assert f"musicking-lab {command}" in section
+    for flag in ["--config", *(flag for _, flag, _, _ in _SETTINGS), *_COMMAND_FLAGS]:
+        assert re.search(rf"{flag}(?![\w-])", section), flag
+
+
+# The benchmark runs no `cluster --svg`, so no golden digest covers this chart.
+SILHOUETTE_DIGEST = "5854e4fca8f1b97acbd1a986927a62005085a266b1ce62a254e78f6ad97b80d2"
+
+
+def test_silhouette_chart_bytes_are_pinned(tmp_path, grid):
+    ids = write_corpus(tmp_path / "data", grid, count=1)
+    assert cmd_cluster(config_for(tmp_path, svg=True, seed=3), ids[0]) == 0
+    text = (tmp_path / "out" / "cluster" / ids[0] / "silhouette.svg").read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == SILHOUETTE_DIGEST

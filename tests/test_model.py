@@ -19,7 +19,8 @@ from helpers import (
     session_of,
 )
 from musicking_lab.analytics import mean_trajectory
-from musicking_lab.errors import InvariantError, UnknownColumn
+from musicking_lab.errors import InvariantError, SchemaError, UnknownColumn
+from musicking_lab.ingest import parse_session_file
 from musicking_lab.model import (
     BeatGrid,
     CHORUS_IDS,
@@ -312,6 +313,18 @@ class TestSessionColumns:
         with pytest.raises(InvariantError,
                            match="^record 1: required field backing_track_position missing$"):
             Session("s", records)
+
+    @pytest.mark.parametrize("position", [math.inf, -math.inf])
+    def test_infinite_clock_names_the_record(self, position):
+        # ingest refuses the same row as "... is not finite"
+        records = [make_record(0.0), Record(position), make_record(260.0)]
+        message = "record 1: backing_track_position is not finite"
+        with pytest.raises(InvariantError, match=f"^{message}$") as exc:
+            Session("s", records)
+        assert exc.type is InvariantError
+        with pytest.raises(SchemaError, match="^row 1: backing_track_position is not finite$"):
+            parse_session_file([{"backing_track_position": r.backing_track_position}
+                                for r in records])
 
     def test_unknown_part_names_the_record(self):
         records = [make_record(0.0), make_record(1.0, keypoints={"tail": kp(1.0, 2.0)})]

@@ -1,3 +1,6 @@
+import math
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -117,6 +120,16 @@ class TestAnovaOneway:
         groups = [[10**300 * (1 + i % 5) for i in range(n)] for n in sizes]
         with np.errstate(over="ignore"), pytest.raises(NonFinite):
             anova_oneway(groups)
+
+    @pytest.mark.parametrize("groups, group", [
+        ([[1, 2], [3, math.inf]], 1),
+        ([[-math.inf, 2, None], [3, 4]], 0),
+    ])
+    def test_infinite_value(self, groups, group):
+        message = f"ANOVA of an infinite value (group {group})"
+        with pytest.raises(NonFinite, match=f"^{re.escape(message)}$") as exc:
+            anova_oneway(groups)
+        assert exc.type is NonFinite
 
     def test_unbalanced_sizes(self):
         groups = [[1.0, 2.0, 3.0], [4.0, 5.0], [7.0, 8.0, 9.0, 10.0]]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +80,17 @@ class TestSamplingRate:
         with pytest.raises(InvariantError,
                            match=f"^mean position interval must be > 0 ms, got {mean}$"):
             infer_sampling_rate(session_of(positions))
+
+    @pytest.mark.parametrize("positions, message", [
+        ([-1.7e308, 1.7e308], "position intervals overflow double precision"),
+        ([-1e308, 0.0, 1e308], "position intervals overflow double precision"),
+        ([0.0, 5e-324, 1e-323],
+         "sampling rate overflows double precision (mean interval 5e-324 ms)"),
+    ], ids=["interval overflows", "sum of intervals overflows", "rate overflows"])
+    def test_clock_it_cannot_read(self, positions, message):
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$") as exc:
+            infer_sampling_rate(session_of(positions))
+        assert exc.type is InvariantError
 
     def test_histogram_counts_sum_to_intervals(self):
         profile = infer_sampling_rate(session_of([0, 125, 250, 375, 500]))
