@@ -147,8 +147,14 @@ def seconds_to_samples(seconds: float, rate_hz: float) -> int:
 
     Rounds to the nearest sample (10 s at 7.683258 Hz -> 77) and never
     returns less than 1.
+
+    Raises:
+        NonFinite: The product of seconds and rate is not finite.
     """
-    return max(1, round(seconds * rate_hz))
+    samples = seconds * rate_hz
+    if not np.isfinite(samples):
+        raise NonFinite(f"{seconds!r} s at {rate_hz!r} Hz is not a finite sample count")
+    return max(1, round(samples))
 
 
 def _prominence(arr: list[float], peak: int) -> float:

@@ -25,7 +25,6 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -33,7 +32,6 @@ import numpy as np
 
 from .errors import MalformedDocument, MusickingError, SchemaError
 from .model import (
-    _ABSENT,
     _COLUMNS,
     _INTEGER_FIELDS,
     _SCALAR_FIELDS,
@@ -120,14 +118,9 @@ def parse_session_file(data: bytes | str | list, fallback_session_id: str = "") 
     rows = data if isinstance(data, list) else _decode_rows(data)
     n = next((i for i, obj in enumerate(rows) if not isinstance(obj, dict)), len(rows))
     body = rows[:n]  # the rows before the first one that is not an object
-    read = {key: _float_column([obj.get(key) for obj in body]) for key in _COLUMNS}
-    extras = {}
-    if set().union(*body) - _RECOGNIZED_KEYS:
-        for key in dict.fromkeys(chain.from_iterable(body)):
-            if key not in _RECOGNIZED_KEYS:
-                extras[key] = [obj.get(key, _ABSENT) for obj in body]
-                read[key] = _float_column(extras[key])
-    rules = _contract_rules(body, read, extras)
+    unknown = set().union(*body) - _RECOGNIZED_KEYS
+    read = {key: _float_column([obj.get(key) for obj in body]) for key in (*_COLUMNS, *unknown)}
+    rules = _contract_rules(body, read, unknown)
     failed = np.logical_or.reduce([mask for mask, _ in rules])
     if failed.any():
         row = int(failed.argmax())
@@ -138,13 +131,16 @@ def parse_session_file(data: bytes | str | list, fallback_session_id: str = "") 
     if session_id in (".", "..") or re.search(r"[/\\\0]", session_id):
         raise SchemaError(f"session_id {session_id!r} is not a file name", row=row)
     columns = {name: read[key][0] for key, name in _COLUMNS.items()}
+    extras = {i: {key: value for key, value in obj.items() if key in unknown}
+              for i, obj in enumerate(body) if not obj.keys().isdisjoint(unknown)}
     return Session._from_columns(session_id, columns, extras)
 
 
-def _contract_rules(body: list, read: dict, extras: dict) -> list:
+def _contract_rules(body: list, read: dict, unknown: set) -> list:
     """Each rule of the input contract as a pair: the mask of the rows of
     ``body`` that break it, and its message for row i.  ``read`` holds the
-    ``_float_column`` (array, null, not a number) of each key read.  In
+    ``_float_column`` (array, null, not a number) of each canonical key and
+    of each key in ``unknown``, the keys that are extras in some row.  In
     the order a row's checks are documented: the master clock present;
     each scalar a number, finite, and an integer in an integer field; each
     keypoint complete, its axes numbers and finite; numeric extras finite;
@@ -158,7 +154,7 @@ def _contract_rules(body: list, read: dict, extras: dict) -> list:
 
     def extras_message(i):
         # A row with several such extras names the first in its own key order.
-        return f"{next(k for k in body[i] if k in extras and not_finite[k][i])} is not finite"
+        return f"{next(k for k in body[i] if k in unknown and not_finite[k][i])} is not finite"
 
     rules = [(read["backing_track_position"][1],
               lambda i: "required field backing_track_position missing")]
@@ -173,8 +169,8 @@ def _contract_rules(body: list, read: dict, extras: dict) -> list:
                       lambda i, part=part: f"incomplete keypoint for {part}"))
         for key in keys:
             rules += number_rules(key, label)
-    if extras:
-        rules.append((np.logical_or.reduce([not_finite[key] for key in extras]), extras_message))
+    if unknown:
+        rules.append((np.logical_or.reduce([not_finite[key] for key in unknown]), extras_message))
     rules.append((np.array([not isinstance(obj.get("session_id"), (str, type(None)))
                             for obj in body], dtype=bool),
                   lambda i: f"session_id is not a string: {body[i]['session_id']!r}"))

@@ -10,7 +10,8 @@ confidence.  All types are frozen value objects.
 A ``Session`` stores its records as columns, after an Apache Arrow record
 batch: one map from short column name to a read-only float64 array with
 NaN for null, for all 45 canonical columns (the scalar fields and each
-skeleton part's x, y and confidence), and the extras per key.  One table,
+skeleton part's x, y and confidence), and, under its index, the extras
+mapping of each record that has one, in that record's key order.  One table,
 ``_COLUMNS``, maps each canonical on-disk name to its short name; ingest
 and the column lookup derive from it.  A skeleton part is present in a
 record when any of its three columns is not NaN.  ``Session.records`` is a
@@ -21,7 +22,7 @@ and give each keypoint all three axes or none, as ingest requires of a
 file; anything else raises ``InvariantError`` naming the record.  A number
 is an ``int`` or a ``float`` other than NaN (a null is ``None``), as
 ``validate_record`` counts them: a numpy float64 is a float, a numpy
-integer is not.  Sessions pickle and copy by their columns.
+integer is not.  Sessions pickle and copy by their columns and extras.
 
 Validation is data, not control flow: ``validate_record`` and
 ``validate_session`` return lists of human-readable violation strings and
@@ -155,22 +156,6 @@ def _not_increasing(values: np.ndarray) -> np.ndarray:
     return mask
 
 
-class _Absent:
-    """Marks the records of an extras column that do not have the key; it
-    pickles and copies as the one module-level instance."""
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return "_ABSENT"
-
-    def __repr__(self) -> str:
-        return "_ABSENT"
-
-
-_ABSENT = _Absent()
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -214,10 +199,11 @@ def _as_list(arr: np.ndarray, integer: bool) -> list:
 class Session:
     """Ordered records for one musician, keyed by an opaque session id.
 
-    Stored as columns (see the module docstring); ``records`` is a view
-    whose length comes from the columns and whose ``Record`` items are
-    built on first use, then kept.  Two sessions are equal when their ids,
-    columns (NaN equal to NaN) and extras are.
+    Stored as columns, with each record's extras as its own mapping under
+    its index (see the module docstring); ``records`` is a view whose
+    length comes from the columns and whose ``Record`` items are built on
+    first use, then kept.  Two sessions are equal when their ids, columns
+    (NaN equal to NaN) and each record's extras are.
 
     Raises:
         InvariantError: A canonical value of a record is not a number
@@ -231,14 +217,12 @@ class Session:
     def __init__(self, session_id: str, records: Sequence[Record]):
         n = len(records)
         points: dict[str, list] = {part: [None] * n for part in SKELETON_PARTS}
-        extras: dict[str, list] = {}
         for i, record in enumerate(records):
             for part, point in record.keypoints.items():
                 if part not in points:
                     raise InvariantError(f"record {i}: {part}: unknown body part")
                 points[part][i] = point
-            for key, value in record.extras.items():
-                extras.setdefault(key, [_ABSENT] * n)[i] = value
+        extras = {i: dict(record.extras) for i, record in enumerate(records) if record.extras}
         # Short name -> (error label, values), scalars first.
         raw = {name: (name, [getattr(r, name) for r in records]) for name in _SCALAR_FIELDS}
         for part, column in points.items():
@@ -273,7 +257,7 @@ class Session:
 
     @classmethod
     def _from_columns(cls, session_id: str, columns: dict[str, np.ndarray],
-                      extras: dict[str, list]) -> Session:
+                      extras: dict[int, dict[str, object]]) -> Session:
         """A session from its columns keyed by short name, as ingest builds
         it (no checks)."""
         session = cls.__new__(cls)
@@ -284,8 +268,7 @@ class Session:
         for array in columns.values():
             array.flags.writeable = False
         for name, value in (("session_id", session_id), ("records", _RecordView(self)),
-                            ("_columns", columns),
-                            ("_extras", {key: tuple(v) for key, v in extras.items()})):
+                            ("_columns", columns), ("_extras", extras)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -310,7 +293,7 @@ class Session:
         return f"Session(session_id={self.session_id!r}, records=<{len(self)} records>)"
 
     def _build_records(self) -> list[Record]:
-        """The Records, each built from its own row of the columns alone."""
+        """The Records, each built from its own row of the columns and extras."""
         columns = self._columns
         scalars = [_as_list(columns[name], name in _INTEGER_FIELDS) for name in _SCALAR_FIELDS]
         parts = [(part, *(a.tolist() for a in _part(columns, part))) for part in SKELETON_PARTS]
@@ -318,7 +301,7 @@ class Session:
         for i, values in enumerate(zip(*scalars)):
             keypoints = {part: Keypoint(x[i], y[i], confidence[i])
                          for part, x, y, confidence, present in parts if present[i]}
-            extras = {key: v[i] for key, v in self._extras.items() if v[i] is not _ABSENT}
+            extras = dict(self._extras.get(i, {}))  # a copy: the session's stays as it is
             records.append(Record(*values, keypoints=keypoints, extras=extras))
         return records
 
@@ -473,11 +456,13 @@ def _column(session: Session, name: str) -> np.ndarray:
     return array
 
 
-def _extras(session: Session, name: str) -> tuple:
-    values = session._extras.get(name)
-    if values is None:
+def _extras(session: Session, name: str) -> list:
+    """One unknown key's values across the records, None where a record
+    does not have the key."""
+    rows = session._extras
+    if not any(name in extras for extras in rows.values()):
         raise UnknownColumn(f"unknown column: {name!r}")
-    return values
+    return [rows[i].get(name) if i in rows else None for i in range(len(session))]
 
 
 def column_values(session: Session, name: str) -> list[float | None]:

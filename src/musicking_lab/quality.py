@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._series import as_array, nonnull, runs
-from .errors import AllMissing, TooFewValues
+from .errors import AllMissing, NonFinite, TooFewValues
 from .model import (
     SKELETON_AXES,
     SKELETON_PARTS,
@@ -66,11 +66,14 @@ def _iqr_mask(values, k: float) -> tuple[np.ndarray, float, float]:
 
     Raises:
         TooFewValues: Fewer than 4 non-null values.
+        NonFinite: An infinite value.
     """
     arr = as_array(values)
     clean = nonnull(arr)
     if clean.size < 4:
         raise TooFewValues(f"IQR needs >= 4 non-null values, got {clean.size}")
+    if not np.isfinite(clean).all():
+        raise NonFinite("IQR of an infinite value")
     q1, q3 = np.percentile(clean, [25.0, 75.0])
     iqr = q3 - q1
     lower, upper = q1 - k * iqr, q3 + k * iqr
@@ -87,6 +90,7 @@ def iqr_outliers(values: Sequence[float | None], k: float = DEFAULT_IQR_K) -> Ou
 
     Raises:
         TooFewValues: Fewer than 4 non-null values.
+        NonFinite: An infinite value.
     """
     mask, lower, upper = _iqr_mask(values, k)
     return OutlierEntry(indices=tuple(np.flatnonzero(mask).tolist()), lower=lower, upper=upper)
@@ -97,6 +101,9 @@ def outlier_report(session: Session, k: float = DEFAULT_IQR_K) -> OutlierReport:
 
     Columns with fewer than 4 non-null values are omitted rather than
     failing the whole report.
+
+    Raises:
+        NonFinite: A column with an infinite value.
     """
     columns: dict[str, OutlierEntry] = {}
     for name in canonical_columns():
@@ -186,6 +193,9 @@ def integrity_report(session: Session,
     Missing counts are null counts; skeleton columns additionally carry the
     sentinel-scan counters.  Pass ``iqr_k`` to also fill per-column IQR
     outlier counts (columns with fewer than 4 non-null values report 0).
+
+    Raises:
+        NonFinite: With ``iqr_k``, a column with an infinite value.
     """
     scan = sentinel_scan(session, confidence_threshold)
     columns: dict[str, ColumnQuality] = {}

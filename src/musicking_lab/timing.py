@@ -121,6 +121,8 @@ def delta_profile(session: Session, bins: int = 20,
         TooFewRecords: Fewer than 2 records.
         TooFewValues: Fewer than 4 non-null deltas (propagated from the
             IQR step).
+        NonFinite: An infinite delta (propagated from the histogram and
+            IQR steps).
     """
     if len(session) < 2:
         raise TooFewRecords("delta profile needs >= 2 records")

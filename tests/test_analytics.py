@@ -146,6 +146,15 @@ class TestRollingStat:
     def test_ten_second_window_at_inferred_rate(self):
         assert seconds_to_samples(10.0, 7.683257937395139) == 77
 
+    def test_window_beyond_the_largest_double(self):
+        with pytest.raises(NonFinite, match=r"^1e\+308 s at 7\.683257937395139 Hz is not a "
+                                            r"finite sample count$"):
+            seconds_to_samples(1e308, 7.683257937395139)
+        # A finite product still rounds, to a window no series fills.
+        window = seconds_to_samples(1e300, 7.683257937395139)
+        assert window == round(1e300 * 7.683257937395139)
+        assert rolling_stat([1.0, 2.0, 3.0], window, "variance") == [None] * 3
+
     def test_nulls_skipped(self):
         out = rolling_stat([1.0, None, 3.0], 3, "mean")
         assert out[2] == 2.0

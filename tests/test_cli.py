@@ -645,6 +645,28 @@ class TestFiniteButHugeValues:
         assert proc.returncode == 1
         assert proc.stderr.strip().splitlines() == [f"ERROR {message}"]
 
+    @pytest.mark.parametrize("seconds", ["1e308", "1e300"])
+    def test_analyze_window_of_huge_seconds(self, tmp_path, grid, seconds):
+        # 1e308 s overflows the sample count at any rate near 7.7 Hz;
+        # 1e300 s does not, and gives a window longer than the session.
+        session_id = write_corpus(tmp_path / "data", grid, count=1)[0]
+        proc = _run_module(["analyze", "--session", session_id, "--window-seconds", seconds,
+                            "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "out")])
+        assert "Traceback" not in proc.stderr
+        if seconds == "1e308":
+            assert proc.returncode == 1
+            assert re.fullmatch(r"ERROR 1e\+308 s at [0-9.]+ Hz is not a finite sample count\n",
+                                proc.stderr)
+            return
+        assert proc.returncode == 0 and proc.stderr.startswith("INFO analyzed session")
+        bundle = json.loads((tmp_path / "out" / "analyze" / session_id / "analysis.json")
+                            .read_text())
+        tracks = bundle["sections"]["rolling_tracks"]
+        assert tracks.pop("window_samples") > 10**300
+        assert set(tracks) == {"eda_mean", "eeg_t3_variance", "eeg_t4_variance",
+                               "eeg_o1_variance", "eeg_o2_variance"}
+        assert all(value is None for track in tracks.values() for value in track)
+
     def test_via_main(self, tmp_path):
         write_huge_eda_corpus(tmp_path / "data")
         argv = ["--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "out")]

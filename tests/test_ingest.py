@@ -61,6 +61,16 @@ class TestParseSessionFile:
         s = parse_session_file(doc([{"backing_track_position": 0, "foo": "bar"}]))
         assert s.records[0].extras == {"foo": "bar"}
 
+    def test_each_record_keeps_its_extras_key_order(self):
+        rows = [{"backing_track_position": 0, "b": 1, "a": 2},
+                {"backing_track_position": 1, "a": 3, "b": 4}]
+        s = parse_session_file(json.dumps(rows))
+        assert [list(r.extras) for r in s.records] == [["b", "a"], ["a", "b"]]
+        written = json.loads(serialize_session(s))
+        assert [[k for k in row if k in ("a", "b")] for row in written] == [["b", "a"], ["a", "b"]]
+        rebuilt = Session("s", s.records)
+        assert [list(r.extras) for r in rebuilt.records] == [["b", "a"], ["a", "b"]]
+
     def test_not_json(self):
         with pytest.raises(MalformedDocument):
             parse_session_file(b"definitely: not json")

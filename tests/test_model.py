@@ -215,6 +215,11 @@ class TestColumns:
         r = Record(backing_track_position=0.0, extras={"foo": 7})
         s = Session("s", (r,))
         assert column_values(s, "foo") == [7]
+        # A key that only some records carry reads None in the others.
+        s = Session("s", [r, make_record(1.0), make_record(2.0, extras={"bar": 1, "foo": 2.5})])
+        assert column_values(s, "foo") == [7, None, 2.5]
+        assert column_values(s, "bar") == [None, None, 1]
+        assert np.isnan(_column(s, "bar")).tolist() == [True, True, False]
 
     def test_unknown_column(self):
         with pytest.raises(UnknownColumn):
@@ -306,6 +311,13 @@ class TestSessionColumns:
         assert [r.extras for r in back.records] == [{"note": None}, {"other": "x"}]
         with pytest.raises(ValueError):
             back._columns["eda"][0] = 7.0
+        # Records with different extras keys, or none, each keep their own.
+        records = (make_record(0.0, extras={"b": 1, "a": 2}), make_record(1.0),
+                   make_record(2.0, extras={"a": 3, "c": None}))
+        s = Session("s", records)
+        back = clone(s)
+        assert back == s
+        assert [r.extras for r in back.records] == [{"b": 1, "a": 2}, {}, {"a": 3, "c": None}]
 
     def test_null_clock_names_the_record(self):
         # ingest refuses the same row as "required field ... missing"

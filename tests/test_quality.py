@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import kp, oracle_quantile, reference_interpolate_gaps, sentinel_kp, session_of
-from musicking_lab.errors import AllMissing, TooFewValues
+from musicking_lab.errors import AllMissing, NonFinite, TooFewValues
 from musicking_lab.quality import (
     impute_median,
     integrity_report,
@@ -37,6 +39,19 @@ class TestIqrOutliers:
     def test_nulls_ignored_and_never_flagged(self):
         entry = iqr_outliers([None, 1, 2, 3, 4, 100, None])
         assert entry.indices == (5,)
+
+    @pytest.mark.parametrize("values", [[1, 2, 3, 4, math.inf, math.inf],
+                                        [-math.inf, None, 1, 2, 3, 4]])
+    def test_infinite_value(self, values):
+        # Refused before the quartiles, which numpy cannot take of an infinity.
+        with pytest.raises(NonFinite, match="^IQR of an infinite value$"):
+            iqr_outliers(values)
+        s = session_of(list(range(len(values))), eda=values)
+        with pytest.raises(NonFinite, match="^IQR of an infinite value$"):
+            outlier_report(s)
+        with pytest.raises(NonFinite, match="^IQR of an infinite value$"):
+            integrity_report(s, iqr_k=1.5)
+        assert integrity_report(s).columns["hardware_bitalino_eda"].outlier_count == 0
 
     def test_fences_match_oracle_quantiles(self):
         rng = np.random.default_rng(7)
