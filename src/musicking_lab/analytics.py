@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._series import as_array, nonnull, runs
+from ._series import as_array, nonnull, percentile, runs
 from .errors import (
     DegenerateSeries,
     EmptySeries,
@@ -73,7 +73,7 @@ def describe(values: Sequence[float | None]) -> SeriesSummary:
         raise EmptySeries("describe needs at least one non-null value")
     if not np.isfinite(clean).all():
         raise NonFinite("describe of an infinite value")
-    q25, median, q75 = np.percentile(clean, [25.0, 50.0, 75.0])
+    q25, median, q75 = percentile(clean, [25.0, 50.0, 75.0])
     return SeriesSummary(
         count=int(clean.size),
         mean=float(clean.mean()),

@@ -6,17 +6,17 @@ is a JSON object with ``tempo_bpm``, ``duration_s``, ``audio_sample_rate_hz``
 and the ``beats_s`` / ``bars_s`` onset arrays; the grid for the shared
 backing track ships with the package.
 
-A file is decoded once and parsed by column: each canonical key becomes
-the float array that the ``Session`` keeps under its short name (the one
-column table, ``model._COLUMNS``, names both), in a single pass over the
-rows, with no per-record objects.  The recognized keys, the integer keys
-and the check order all come from that table.  Each rule of the input
-contract is written once, as a row mask and a message: every number is
-finite (``NaN`` and ``Infinity`` literals are rejected, as are literals
-that overflow a double) and the master clock ``backing_track_position``
-is present and strictly increasing.  A file that breaks it raises
-``MalformedDocument`` or ``SchemaError`` naming the first failing row, and
-never reaches analysis.  The beat grid is read with the same decoder.
+A file is decoded once, and the canonical values of its rows become one
+table that a single ``_float_column`` call turns into the ``Session``'s
+float columns, with no per-record objects.  The one column table,
+``model._COLUMNS``, gives the keys, their short names, the integer keys
+and the check order.  Each rule of the input contract is written once, as
+a row mask and a message: every number is finite (``NaN`` and
+``Infinity`` literals are rejected, as are literals that overflow a
+double) and the master clock ``backing_track_position`` is present and
+strictly increasing.  A file that breaks it raises ``MalformedDocument``
+or ``SchemaError`` naming the first failing row, and never reaches
+analysis.  The beat grid is read with the same decoder.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -53,7 +55,7 @@ _KEYPOINT_KEYS = tuple(
     (part, f"hardware_skeleton_{part}",
      tuple(_KEYS[f"{part}_{axis}"] for axis in SKELETON_AXES))
     for part in SKELETON_PARTS)
-_RECOGNIZED_KEYS = frozenset({"session_id", *_COLUMNS})
+_ROW = itemgetter(*_COLUMNS)  # a row's canonical values, in column order
 
 
 def _reject_constant(literal: str):
@@ -100,12 +102,11 @@ def parse_session_file(data: bytes | str | list, fallback_session_id: str = "") 
 
     The document is decoded once (``data`` may also be the list a decode
     of it already gave, which keeps the same contract: a float NaN in it
-    is not finite) and each column is built in one pass over the
-    rows, then checked with array operations.  Unknown columns are kept
-    verbatim per record as extras; absent values become null.  The session
-    id is taken from the records' ``session_id`` column when present,
-    otherwise from ``fallback_session_id`` (callers typically pass the file
-    stem).
+    is not finite), read as one table and checked with array operations.
+    Unknown columns are kept verbatim per record as extras; absent values
+    become null.  The session id is taken from the records' ``session_id``
+    column when present, otherwise from ``fallback_session_id`` (callers
+    typically pass the file stem).
 
     Raises:
         MalformedDocument: Not JSON, a ``NaN``/``Infinity`` literal, or not
@@ -118,8 +119,14 @@ def parse_session_file(data: bytes | str | list, fallback_session_id: str = "") 
     rows = data if isinstance(data, list) else _decode_rows(data)
     n = next((i for i, obj in enumerate(rows) if not isinstance(obj, dict)), len(rows))
     body = rows[:n]  # the rows before the first one that is not an object
-    unknown = set().union(*body) - _RECOGNIZED_KEYS
-    read = {key: _float_column([obj.get(key) for obj in body]) for key in (*_COLUMNS, *unknown)}
+    try:  # the canonical values as one table, row after row
+        table = list(chain.from_iterable(map(_ROW, body)))
+        no_extras = sum(map(len, body)) == len(table) + sum("session_id" in obj for obj in body)
+    except KeyError:  # a row lacks a canonical key, which reads null there
+        table, no_extras = [obj.get(key) for obj in body for key in _COLUMNS], False
+    unknown = set() if no_extras else set().union(*body) - {"session_id", *_COLUMNS}
+    read = dict(zip(_COLUMNS, zip(*_float_column(table, len(_COLUMNS)))))
+    read.update((key, _float_column([obj.get(key) for obj in body])) for key in unknown)
     rules = _contract_rules(body, read, unknown)
     failed = np.logical_or.reduce([mask for mask, _ in rules])
     if failed.any():
@@ -132,7 +139,7 @@ def parse_session_file(data: bytes | str | list, fallback_session_id: str = "") 
         raise SchemaError(f"session_id {session_id!r} is not a file name", row=row)
     columns = {name: read[key][0] for key, name in _COLUMNS.items()}
     extras = {i: {key: value for key, value in obj.items() if key in unknown}
-              for i, obj in enumerate(body) if not obj.keys().isdisjoint(unknown)}
+              for i, obj in enumerate(body) if unknown and not obj.keys().isdisjoint(unknown)}
     return Session._from_columns(session_id, columns, extras)
 
 

@@ -160,10 +160,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _float_column(values: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _float_column(values: Sequence, width: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values as a float array (too large -> +-inf), with the mask of those
     that are None and the mask of those that are not numbers; both read NaN.
-    A value in neither mask that is not finite is a number that is not."""
+    A value in neither mask that is not finite is a number that is not.
+    With a ``width``, values are rows end to end; each array is C-contiguous (width, n)."""
     types = set(map(type, values))
     if types <= {int, float, type(None)}:
         wrong = np.zeros(len(values), dtype=bool)
@@ -178,7 +179,8 @@ def _float_column(values: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if types - {int, type(None)}:  # a number may be NaN: tell the None apart
         nan = np.flatnonzero(null)
         null[nan] = [values[i] is None for i in nan.tolist()]
-    return array, null & ~wrong, wrong
+    result = array, null & ~wrong, wrong
+    return tuple(np.ascontiguousarray(a.reshape(-1, width).T) for a in result) if width else result
 
 
 def _to_float(value) -> float:
@@ -215,40 +217,31 @@ class Session:
     __slots__ = ("session_id", "records", "_columns", "_extras")
 
     def __init__(self, session_id: str, records: Sequence[Record]):
-        n = len(records)
-        points: dict[str, list] = {part: [None] * n for part in SKELETON_PARTS}
-        for i, record in enumerate(records):
-            for part, point in record.keypoints.items():
-                if part not in points:
-                    raise InvariantError(f"record {i}: {part}: unknown body part")
-                points[part][i] = point
+        table = []  # each record's scalars, then each part's axes (None where it is absent)
+        for i, r in enumerate(records):
+            unknown = [part for part in r.keypoints if part not in SKELETON_PARTS]
+            if unknown:
+                raise InvariantError(f"record {i}: {unknown[0]}: unknown body part")
+            table += [getattr(r, name) for name in _SCALAR_FIELDS]
+            for p in map(r.keypoints.get, SKELETON_PARTS):
+                table += (None,) * 3 if p is None else (p.x, p.y, p.confidence)
+        labels = [*_SCALAR_FIELDS, *(f"{p}: {a}" for p in SKELETON_PARTS for a in SKELETON_AXES)]
+        arrays, null, wrong = _float_column(table, len(labels))
+        bad = wrong | (np.isnan(arrays) & ~null)  # a NaN would read back as null, None here
+        if bad.any():
+            j, i = np.argwhere(bad)[0].tolist()
+            raise InvariantError(f"record {i}: {labels[j]} is not a number: "
+                                 f"{table[i * len(labels) + j]!r}")
+        columns = {label.replace(": ", "_"): array for label, array in zip(labels, arrays)}
         extras = {i: dict(record.extras) for i, record in enumerate(records) if record.extras}
-        # Short name -> (error label, values), scalars first.
-        raw = {name: (name, [getattr(r, name) for r in records]) for name in _SCALAR_FIELDS}
-        for part, column in points.items():
-            for axis in SKELETON_AXES:
-                raw[f"{part}_{axis}"] = (f"{part}: {axis}",
-                                         [None if p is None else getattr(p, axis) for p in column])
-        columns = {}
-        for name, (label, values) in raw.items():
-            columns[name], null, wrong = _float_column(values)
-            # A NaN would read back as null, which is None here.
-            bad = wrong | (np.isnan(columns[name]) & ~null)
+        position = columns["backing_track_position"]
+        for bad, problem in ((np.isnan(position), "required field backing_track_position missing"),
+                             (np.isinf(position), "backing_track_position is not finite")):
             if bad.any():
-                i = int(bad.argmax())
-                raise InvariantError(f"record {i}: {label} is not a number: {values[i]!r}")
-        missing = np.isnan(columns["backing_track_position"])
-        if missing.any():
-            raise InvariantError(f"record {int(missing.argmax())}: "
-                                 "required field backing_track_position missing")
-        infinite = np.isinf(columns["backing_track_position"])
-        if infinite.any():
-            raise InvariantError(f"record {int(infinite.argmax())}: "
-                                 "backing_track_position is not finite")
+                raise InvariantError(f"record {int(bad.argmax())}: {problem}")
         # A keypoint has all three axes or none, as ingest requires of a file.
-        incomplete = np.array([_incomplete([np.isnan(columns[f"{part}_{axis}"])
-                                            for axis in SKELETON_AXES])
-                               for part in SKELETON_PARTS])
+        axes = null[len(_SCALAR_FIELDS):].reshape(len(SKELETON_PARTS), 3, len(records))
+        incomplete = _incomplete(axes.swapaxes(0, 1))  # part x record
         if incomplete.any():
             i, part = np.argwhere(incomplete.T)[0]
             raise InvariantError(f"record {i}: {SKELETON_PARTS[part]}: incomplete keypoint, "

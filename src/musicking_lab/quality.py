@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._series import as_array, nonnull, runs
+from ._series import as_array, median, nonnull, percentile, runs
 from .errors import AllMissing, NonFinite, TooFewValues
 from .model import (
     SKELETON_AXES,
@@ -74,7 +74,7 @@ def _iqr_mask(values, k: float) -> tuple[np.ndarray, float, float]:
         raise TooFewValues(f"IQR needs >= 4 non-null values, got {clean.size}")
     if not np.isfinite(clean).all():
         raise NonFinite("IQR of an infinite value")
-    q1, q3 = np.percentile(clean, [25.0, 75.0])
+    q1, q3 = percentile(clean, [25.0, 75.0])
     iqr = q3 - q1
     lower, upper = q1 - k * iqr, q3 + k * iqr
     with np.errstate(invalid="ignore"):
@@ -127,8 +127,8 @@ def impute_median(values: Sequence[float | None]) -> list[float | None]:
     clean = nonnull(arr)
     if clean.size == 0:
         raise AllMissing("cannot impute an all-null series")
-    median = float(np.median(clean))
-    return np.where(np.isnan(arr), median, arr).tolist()
+    middle = float(median(clean))
+    return np.where(np.isnan(arr), middle, arr).tolist()
 
 
 def interpolate_gaps(values: Sequence[float | None], max_gap: int) -> list[float | None]:

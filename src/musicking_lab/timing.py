@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from ._series import runs
+from ._series import median, runs
 from .errors import InvariantError, MissingChorusIds, OutOfTrack, TooFewBeats, TooFewRecords
 from .model import (
     NONPERFORMANCE_CHORUS_IDS,
@@ -106,7 +106,7 @@ def infer_sampling_rate(session: Session, hist_bins: int = 20) -> SamplingProfil
                              f"(mean interval {mean_ms!r} ms)")
     return SamplingProfile(
         mean_interval_ms=mean_ms,
-        median_interval_ms=float(np.median(intervals)),
+        median_interval_ms=float(median(intervals)),
         rate_hz=rate,
         nyquist_hz=rate / 2.0,
         interval_histogram=tuple(analytics.histogram(intervals, hist_bins)),
@@ -166,7 +166,7 @@ def estimate_tempo(grid: BeatGrid) -> float:
     if len(grid.beat_times) < 2:
         raise TooFewBeats("tempo needs >= 2 beats")
     intervals = np.diff(np.asarray(grid.beat_times))
-    return 60.0 / float(np.median(intervals))
+    return 60.0 / float(median(intervals))
 
 
 def _align(positions_ms, grid: BeatGrid,

@@ -752,3 +752,43 @@ def test_silhouette_chart_bytes_are_pinned(tmp_path, grid):
     assert cmd_cluster(config_for(tmp_path, svg=True, seed=3), ids[0]) == 0
     text = (tmp_path / "out" / "cluster" / ids[0] / "silhouette.svg").read_text()
     assert hashlib.sha256(text.encode()).hexdigest() == SILHOUETTE_DIGEST
+
+
+# Every command, then the library calls of a session read, in one fresh
+# process; prints the steps after which ``numpy.ma`` was loaded.
+_NUMPY_MA_PROBE = """
+import sys
+from pathlib import Path
+from musicking_lab import analytics, cli, cluster, ingest, model, quality, timing
+
+data, out = sys.argv[1:]
+loaded = []
+for argv in (["validate"], ["compare"], ["analyze", "--svg", "--session", "synth0000"],
+             ["cluster", "--session", "synth0000"]):
+    cli.main([*argv, "--dataset", data, "--out", out])
+    loaded += argv[:1] if "numpy.ma" in sys.modules else []
+session = ingest.load_session(Path(data) / "synth0000.json")
+model.validate_session(session)
+flow = model.column_values(session, "flow")
+quality.impute_median(flow)
+filled = quality.interpolate_gaps(flow, 8)
+window = analytics.seconds_to_samples(10.0, timing.infer_sampling_rate(session).rate_hz)
+analytics.windowed_correlation(model.column_values(session, "eda"), filled, window)
+cluster.bar_features(session, ingest.load_bundled_beat_grid(), "eeg_t3")
+timing.estimate_tempo(ingest.load_bundled_beat_grid())
+loaded += ["library"] if "numpy.ma" in sys.modules else []
+print(loaded)
+"""
+
+
+class TestFreshProcess:
+    def test_numpy_ma_is_never_imported(self, tmp_path, grid):
+        # numpy's percentile and median import numpy.ma on first use, an
+        # import that every command's process would pay for.
+        write_corpus(tmp_path / "data", grid, count=3)
+        env = dict(os.environ, PYTHONPATH=str(Path(musicking_lab.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE, str(tmp_path / "data"),
+                               str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"

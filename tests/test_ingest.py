@@ -826,3 +826,80 @@ class TestColumnChecksOracle:
         with pytest.raises(SchemaError) as excinfo:
             parse_session_file(rows)
         assert (type(excinfo.value).__name__, str(excinfo.value)) == expected
+
+
+def _full_row(i, **values):
+    """A row holding every canonical key: integers in the integer fields,
+    0.5 elsewhere, a clock 130 ms per row and a sync delta of 0.25."""
+    row = {key: 1 if key.endswith(("_id", "flow", "eda")) or "_eeg_" in key else 0.5
+           for key in canonical_columns()}
+    row.update({"backing_track_position": 130.0 * i, "sync_delta": 0.25, **values})
+    return row
+
+
+def _shuffled_rows(n):
+    rows = []
+    for i in range(n):  # key orders that change from row to row
+        items = list(_full_row(i).items())
+        rows.append(dict(items[i:] + items[:i] if i % 2 else items[::-1]))
+    return rows
+
+
+def _without(row, key):
+    del row[key]
+    return row
+
+
+class TestTablePathEquivalence:
+    """Documents the one-table read must get exactly as the per-key read
+    did: the same columns, ids and extras, or the same error."""
+
+    @pytest.mark.parametrize("rows, session_id, extras", [
+        (_shuffled_rows(4), "stem", {}),
+        ([_full_row(0), _without(_full_row(1), "hardware_brainbit_eeg_o1"), _full_row(2)],
+         "stem", {}),
+        ([_full_row(0), _full_row(1, session_id="abc"), _full_row(2)], "abc", {}),
+        ([_full_row(0, session_id="abc"), _full_row(1, foo=1), _full_row(2, session_id="abc")],
+         "abc", {1: {"foo": 1}}),
+        ([_without(_full_row(0), "flow") | {"bar": "x"}, _full_row(1)], "stem", {0: {"bar": "x"}}),
+        ([], "stem", {}),
+    ], ids=["keys in different orders", "a row missing a canonical key",
+            "session id on some rows", "an extras key on one row",
+            "a missing key and an extra in one row", "no rows"])
+    def test_same_session(self, rows, session_id, extras):
+        for data in (json.dumps(rows), rows):
+            session = parse_session_file(data, "stem")
+            assert session.session_id == session_id and len(session) == len(rows)
+            assert [dict(r.extras) for r in session.records] == \
+                [extras.get(i, {}) for i in range(len(rows))]
+            for key in canonical_columns():
+                got = [None if v is None else float(v) for v in column_values(session, key)]
+                assert repr(got) == repr([None if row.get(key) is None else float(row[key])
+                                          for row in rows]), key
+
+    @pytest.mark.parametrize("text, error, message", [
+        (doc([_full_row(0), _full_row(1, flow="HERE")]).replace('"HERE"', "true"),
+         SchemaError, "row 1: flow is not numeric: True"),
+        (doc([_full_row(0), _full_row(1, hardware_bitalino_eda="1.5")]),
+         SchemaError, "row 1: hardware_bitalino_eda is not numeric: '1.5'"),
+        (doc([_full_row(0), _full_row(1, hardware_skeleton_nose_x="1.5")]),
+         SchemaError, "row 1: hardware_skeleton_nose is not numeric: '1.5'"),
+        (doc([_full_row(0), _full_row(1, hardware_bitalino_eda="HERE")]).replace(
+            '"HERE"', "1" * 400), SchemaError, "row 1: hardware_bitalino_eda is not finite"),
+        (doc([_full_row(0), _full_row(1, sync_delta="HERE")]).replace('"HERE"', "1" * 400),
+         SchemaError, "row 1: sync_delta is not finite"),
+        ("[1]", MalformedDocument, "row 0: record is not an object"),
+        (doc([_full_row(0)])[:-1] + ", 1]", MalformedDocument, "row 1: record is not an object"),
+    ], ids=["true in a number column", "a numeric string", "a numeric string in a keypoint",
+            "a 400-digit integer", "a 400-digit integer in a float column",
+            "only a non-object row", "an object row, then 1"])
+    def test_same_error(self, text, error, message):
+        assert oracle_parse_error(json.loads(text)) == (error.__name__, message)
+        with pytest.raises(error) as excinfo:
+            parse_session_file(text)
+        assert str(excinfo.value) == message
+
+    def test_nan_in_a_full_row_of_decoded_rows_is_not_finite(self):
+        with pytest.raises(SchemaError) as excinfo:
+            parse_session_file([_full_row(0), _full_row(1, hardware_skeleton_l_ear_y=math.nan)])
+        assert str(excinfo.value) == "row 1: hardware_skeleton_l_ear is not finite"

@@ -1,8 +1,10 @@
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from musicking_lab._series import runs
+from musicking_lab._series import median, percentile, runs
 
 
 class TestRuns:
@@ -25,3 +27,49 @@ class TestRuns:
     def test_runs_cover_the_array(self):
         starts, ends = runs(np.array([True, True, False, True]))
         assert starts.tolist() == [0, 2, 3] and ends.tolist() == [2, 3, 4]
+
+
+# Signed zeros, subnormals, the smallest normal and magnitudes up to the
+# double maximum, beside any finite float.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e308, -1e308,
+          1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def samples(draw):
+    """1-100 values drawn from a pool of at most 6, so most repeat."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(_EDGES),
+                                   st.floats(allow_nan=False, allow_infinity=False)),
+                         min_size=1, max_size=6))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=100)))
+
+
+class TestOrderStatistics:
+    """The helpers against numpy's own, compared by ``repr`` so that a
+    different zero sign or a last-bit difference shows."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(samples())
+    def test_same_bits_as_numpy(self, x):
+        with np.errstate(all="ignore"):
+            for q in ([25, 50, 75], [25, 75]):
+                assert repr(percentile(x, q).tolist()) == repr(np.percentile(x, q).tolist())
+            assert repr(median(x)) == repr(np.median(x))
+
+    @pytest.mark.parametrize("values", [[-0.0] * 3, [-1.0, -0.0, 2.0], [-0.0] * 4,
+                                        [-1.0, -0.0, -0.0, 2.0]],
+                             ids=["odd, all -0.0", "odd, -0.0 middle", "even, all -0.0",
+                                  "even, -0.0 middles"])
+    def test_negative_zero_middles(self, values):
+        # numpy takes the mean of the middle values, which sums from +0.0.
+        x = np.array(values)
+        assert repr(median(x)) == repr(np.median(x))
+        assert median(x) == 0.0 and math.copysign(1.0, median(x)) == 1.0
+        assert repr(percentile(x, [25, 50, 75]).tolist()) == \
+            repr(np.percentile(x, [25, 50, 75]).tolist())
+
+    def test_input_is_left_as_it_was(self):
+        x = np.array([3.0, 1.0, 2.0, 0.0])
+        percentile(x, [25, 75])
+        median(x)
+        assert x.tolist() == [3.0, 1.0, 2.0, 0.0]

@@ -58,3 +58,29 @@ def test_every_private_name_is_used():
                                           for ref, where in references):
                 unused.append(f"{module}:{node.lineno}: {name}")
     assert unused == []
+
+
+# numpy's quantile family and a plain ``np.unique`` import ``numpy.ma`` on
+# first use; ``_series`` computes the same bits without it.
+_ORDER_STATISTICS = {"percentile": "percentile", "quantile": "percentile",
+                     "nanpercentile": "percentile", "median": "median",
+                     "nanmedian": "median"}
+
+
+def test_order_statistics_come_from_series():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+                continue
+            name = node.func.attr
+            counts = any(keyword.arg == "return_counts" and isinstance(keyword.value, ast.Constant)
+                         and keyword.value.value is True for keyword in node.keywords)
+            if name in _ORDER_STATISTICS:
+                found.append(f"{path.name}:{node.lineno}: np.{name}; "
+                             f"use _series.{_ORDER_STATISTICS[name]}")
+            elif name == "unique" and not counts:
+                found.append(f"{path.name}:{node.lineno}: np.unique without "
+                             "return_counts=True; use _series.runs on the sorted values")
+    assert found == []
