@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytics, cluster, quality, stats, svg, timing
 from .errors import (
     EmptySeries,
     DegenerateSeries,
@@ -48,6 +47,7 @@ from .model import (
     EEG_CHANNELS,
     Session,
     _column,
+    _isin,
     column_values,
 )
 
@@ -229,13 +229,14 @@ def _performance_values(session: Session, column: str,
     values = _column(session, column)
     if not exclude_nonperformance:
         return values
-    return values[~np.isin(_column(session, "chorus_id"), NONPERFORMANCE_CHORUS_IDS)]
+    return values[~_isin(_column(session, "chorus_id"), NONPERFORMANCE_CHORUS_IDS)]
 
 
 # -- validate ----------------------------------------------------------------
 
 def cmd_validate(config: RunConfig) -> int:
     """Quality-audit every session file and write one report per session."""
+    from . import quality
     if config.dataset_dir is None:
         log.error("validate needs --dataset (or %s)", DATASET_ENV_VAR)
         return 1
@@ -273,13 +274,14 @@ def _or_insufficient(compute, *errors):
         return dict(INSUFFICIENT, reason=str(exc))
 
 
-def _delta_payload(profile: timing.DeltaProfile) -> dict:
+def _delta_payload(profile) -> dict:
     return {"histogram": profile.histogram, "outlier_indices": profile.outliers.indices,
             "fences": [profile.outliers.lower, profile.outliers.upper]}
 
 
 def cmd_analyze(config: RunConfig, session_id: str) -> int:
     """Single-session deep dive: one JSON bundle plus tables and figures."""
+    from . import analytics, quality, timing
     session = _find_session(config, session_id)
     grid = _load_grid(config)
     out = _ensure_writable(config.output_dir) / "analyze" / session_id
@@ -362,6 +364,7 @@ def cmd_analyze(config: RunConfig, session_id: str) -> int:
 
 
 def _write_analyze_svgs(out: Path, session: Session, bundle: dict) -> None:
+    from . import analytics, svg
     sections = bundle["sections"]
     eda = column_values(session, "eda")
     flow = column_values(session, "flow")
@@ -394,6 +397,7 @@ def _top_correlated(correlations: dict[str, float]) -> list[str]:
 
 
 def _overlay(session: Session) -> list[dict]:
+    from . import timing
     try:
         segments = timing.segment_choruses(session)
     except MissingChorusIds:
@@ -415,6 +419,7 @@ def cmd_compare(config: RunConfig) -> int:
     Sessions stream through one at a time in file-name order; only what the
     outputs need is kept, and the outputs are ordered by session id.
     """
+    from . import analytics, quality, stats
     if config.dataset_dir is None:
         log.error("compare needs --dataset (or %s)", DATASET_ENV_VAR)
         return 1
@@ -482,6 +487,7 @@ def cmd_compare(config: RunConfig) -> int:
 
 def cmd_cluster(config: RunConfig, session_id: str, column: str = "eda") -> int:
     """Per-bar features, k selection, best-k fit, and a cluster/chorus join."""
+    from . import cluster, timing
     session = _find_session(config, session_id)
     grid = _load_grid(config)
     out = _ensure_writable(config.output_dir) / "cluster" / session_id
@@ -524,6 +530,7 @@ def cmd_cluster(config: RunConfig, session_id: str, column: str = "eda") -> int:
     write_json(out / "contingency.json", contingency)
 
     if config.svg:
+        from . import svg
         (out / "silhouette.svg").write_text(svg.histogram_chart(
             [(float(d.k), float(d.k) + 1.0, max(0.0, d.silhouette)) for d in diagnostics],
             title="silhouette by k"))

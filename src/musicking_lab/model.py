@@ -66,8 +66,6 @@ EEG_CHANNELS: tuple[str, ...] = ("t3", "t4", "o1", "o2")
 # 999 = post-performance tail.
 CHORUS_IDS: frozenset[int] = frozenset({0, 1, 2, 3, 4, 5, 999})
 PERFORMANCE_CHORUS_IDS: frozenset[int] = frozenset({1, 2, 3, 4, 5})
-# The pre- and post-performance labels; a tuple, since ``np.isin`` does not
-# read a set as a set of values.
 NONPERFORMANCE_CHORUS_IDS: tuple[int, ...] = (0, 999)
 
 # Coordinate sentinel used by the pose detector when a part is not found.
@@ -147,6 +145,11 @@ def _part(columns: Mapping[str, np.ndarray], part: str) -> tuple[np.ndarray, ...
 def _incomplete(nulls: Sequence[np.ndarray]) -> np.ndarray:
     """The mask of the keypoints with some but not all axes null."""
     return np.logical_or.reduce(nulls) & ~np.logical_and.reduce(nulls)
+
+
+def _isin(values: np.ndarray, labels) -> np.ndarray:
+    """``np.isin(values, labels)`` without its ``numpy.ma`` import on empty ``values``."""
+    return np.logical_or.reduce([values == label for label in labels])
 
 
 def _not_increasing(values: np.ndarray) -> np.ndarray:
@@ -482,7 +485,7 @@ def _scalar_rules(columns: Mapping[str, np.ndarray]) -> dict[str, list]:
     """Each checked field's rules as (mask, message) pairs over its column
     (NaN for null), in the order a record's violations are listed."""
     chorus, flow = columns["chorus_id"], columns["flow"]
-    rules = {"chorus_id": [(~np.isnan(chorus) & ~np.isin(chorus, list(CHORUS_IDS)),
+    rules = {"chorus_id": [(~np.isnan(chorus) & ~_isin(chorus, CHORUS_IDS),
                             "chorus_id not in {0..5,999}")],
              "flow": [(~np.isnan(flow) & ~(np.isfinite(flow) & (flow == np.floor(flow))),
                        "flow not an integer")]}

@@ -28,6 +28,7 @@ from .model import (
     Session,
     _as_list,
     _column,
+    _isin,
     column_values,
 )
 from .quality import OutlierEntry, iqr_outliers
@@ -217,7 +218,7 @@ def _bar_groups(session: Session, grid: BeatGrid, values: np.ndarray,
     _, beat, keep = _align(_column(session, "backing_track_position"), grid, offset_ms)
     keep &= ~np.isnan(values)
     if not include_nonperformance:
-        keep &= ~np.isin(_column(session, "chorus_id"), NONPERFORMANCE_CHORUS_IDS)
+        keep &= ~_isin(_column(session, "chorus_id"), NONPERFORMANCE_CHORUS_IDS)
     bars = beat[keep] // 4
     order = np.argsort(bars, kind="stable")
     bounds = np.cumsum(np.bincount(bars, minlength=grid.n_bars))[:-1]

@@ -786,9 +786,110 @@ class TestFreshProcess:
         # numpy's percentile and median import numpy.ma on first use, an
         # import that every command's process would pay for.
         write_corpus(tmp_path / "data", grid, count=3)
+        # A 0-record session: np.isin on its empty columns calls np.unique.
+        (tmp_path / "data" / "empty.json").write_text("[]")
         env = dict(os.environ, PYTHONPATH=str(Path(musicking_lab.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE, str(tmp_path / "data"),
                                str(tmp_path / "out")],
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+# Runs the code given as its first argument, with the rest as ``sys.argv``,
+# and prints the package's modules whose bodies ran.  A submodule the
+# package has only registered is still importlib's lazy module type;
+# running its body makes it a plain module.
+_LOADED_PROBE = """
+import json, sys, types
+code, sys.argv = sys.argv[1], sys.argv[1:]
+exec(code)
+print(json.dumps([name for name, module in sys.modules.items()
+                  if name.startswith("musicking_lab") and type(module) is types.ModuleType]))
+"""
+# The benchmark's set-up probe: import the package and read the bundled grid.
+_SETUP_CODE = ("import musicking_lab; from musicking_lab.ingest import load_bundled_beat_grid; "
+               "load_bundled_beat_grid()")
+_CLI_CODE = "from musicking_lab import cli; cli.main(sys.argv[1:])"
+
+
+def _loaded_modules(code: str, *args: str) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=str(Path(musicking_lab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE, code, *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    names = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {name.removeprefix("musicking_lab.") for name in names}
+
+
+class TestModulesLoaded:
+    """A fresh process runs the bodies of only the modules it calls."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory, grid):
+        data = tmp_path_factory.mktemp("lazy") / "data"
+        write_corpus(data, grid, count=3)
+        return data
+
+    def test_setup_probe(self):
+        assert _loaded_modules(_SETUP_CODE) <= {"musicking_lab", "model", "errors",
+                                                "ingest", "data"}
+
+    @pytest.mark.parametrize("argv, unused", [
+        (["validate"], {"analytics", "cluster", "stats", "svg", "timing"}),
+        (["compare"], {"cluster", "svg"}),
+        (["cluster", "--session", "synth0000"], {"svg"}),
+    ])
+    def test_command(self, dataset, tmp_path, argv, unused):
+        loaded = _loaded_modules(_CLI_CODE, *argv, "--dataset", str(dataset),
+                                 "--out", str(tmp_path / "out"))
+        assert (tmp_path / "out" / argv[0]).is_dir()
+        assert loaded & unused == set()
+
+    def test_every_layer_is_in_sys_modules_after_import(self):
+        # perfbench/spans.py wraps the layers it finds in sys.modules right
+        # after `import musicking_lab`.
+        _loaded_modules("import sys, musicking_lab\n"
+                        "for layer in ('analytics', 'cluster', 'ingest', 'quality', 'stats', "
+                        "'svg', 'timing'):\n"
+                        "    assert f'musicking_lab.{layer}' in sys.modules, layer")
+
+    def test_from_import_runs_the_body(self):
+        # Code that times a submodule's functions imports it first.
+        assert "timing" in _loaded_modules("from musicking_lab import timing")
+
+    def test_first_use_from_many_threads(self):
+        # Each thread must see the whole module, not one still running.
+        _loaded_modules("import threading, musicking_lab\n"
+                        "barrier, failed = threading.Barrier(8), []\n"
+                        "def use():\n"
+                        "    barrier.wait()\n"
+                        "    try:\n"
+                        "        musicking_lab.timing.per_bar_chorus\n"
+                        "    except AttributeError as exc:\n"
+                        "        failed.append(exc)\n"
+                        "threads = [threading.Thread(target=use) for _ in range(8)]\n"
+                        "for t in threads: t.start()\n"
+                        "for t in threads: t.join()\n"
+                        "assert failed == [], failed")
+
+    def test_every_public_name_resolves(self):
+        _loaded_modules("import musicking_lab\n"
+                        "for name in musicking_lab.__all__:\n"
+                        "    getattr(musicking_lab, name)\n"
+                        "musicking_lab.ingest.load_bundled_beat_grid()")
+
+    def test_star_import_binds_every_public_name(self):
+        _loaded_modules("import musicking_lab\n"
+                        "namespace = {}\n"
+                        "exec('from musicking_lab import *', namespace)\n"
+                        "assert set(musicking_lab.__all__) <= set(namespace)")
+
+    def test_unknown_name_raises_attribute_error(self):
+        _loaded_modules("import musicking_lab\n"
+                        "try:\n"
+                        "    musicking_lab.nope\n"
+                        "except AttributeError:\n"
+                        "    pass\n"
+                        "else:\n"
+                        "    raise AssertionError('musicking_lab.nope resolved')")

@@ -61,7 +61,8 @@ def test_every_private_name_is_used():
 
 
 # numpy's quantile family and a plain ``np.unique`` import ``numpy.ma`` on
-# first use; ``_series`` computes the same bits without it.
+# first use; ``_series`` computes the same bits without it.  ``np.isin`` calls
+# ``np.unique`` on an empty array; ``model._isin`` compares label by label.
 _ORDER_STATISTICS = {"percentile": "percentile", "quantile": "percentile",
                      "nanpercentile": "percentile", "median": "median",
                      "nanmedian": "median"}
@@ -83,4 +84,6 @@ def test_order_statistics_come_from_series():
             elif name == "unique" and not counts:
                 found.append(f"{path.name}:{node.lineno}: np.unique without "
                              "return_counts=True; use _series.runs on the sorted values")
+            elif name == "isin":
+                found.append(f"{path.name}:{node.lineno}: np.isin; use model._isin")
     assert found == []
