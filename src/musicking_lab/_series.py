@@ -34,9 +34,9 @@ def runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # numpy's own ``np.percentile`` and ``np.median`` import ``numpy.ma`` on first
 # use (through ``np.unique`` and their NaN check), a cost every process pays.
 def percentile(x: np.ndarray, q: Sequence[float]) -> np.ndarray:
-    """``np.percentile(x, q)``, method ``linear``, of a non-empty 1-D float
-    array, to the bit: the same order statistics from the same partition,
-    interpolated as numpy's ``_lerp`` does."""
+    """``np.percentile(x, q)``, method ``linear``, of a non-empty NaN-free
+    1-D float array, to the bit: the same order statistics from the same
+    partition, interpolated as numpy's ``_lerp`` does."""
     index = (x.size - 1) * np.true_divide(q, 100)
     lo = np.floor(index)
     hi = lo + 1
@@ -47,15 +47,13 @@ def percentile(x: np.ndarray, q: Sequence[float]) -> np.ndarray:
     diff = part[hi] - part[lo]
     out = part[lo] + diff * t
     np.subtract(part[hi], diff * (1 - t), out=out, where=t >= 0.5)
-    if np.isnan(part[-1]):  # a NaN sorts last and makes every percentile NaN
-        out[:] = part[-1]
     return out
 
 
 def median(x: np.ndarray) -> np.floating:
-    """``np.median(x)`` of a non-empty 1-D float array, to the bit: the
-    ``mean`` of the middle values, so two middle ``-0.0`` give ``0.0``."""
+    """``np.median(x)`` of a non-empty NaN-free 1-D float array, to the
+    bit: the ``mean`` of the middle values, so two middle ``-0.0`` give
+    ``0.0``."""
     k, even = x.size // 2, x.size % 2 == 0
     part = np.partition(x, [k - 1, k, -1] if even else [k, -1])
-    middle = part[k - 1 if even else k:k + 1].mean()
-    return part[-1] if np.isnan(part[-1]) else middle
+    return part[k - 1 if even else k:k + 1].mean()

@@ -27,7 +27,6 @@ from .errors import (
     EmptySeries,
     DegenerateSeries,
     DegenerateVariance,
-    InvalidRange,
     MissingChorusIds,
     MusickingError,
     NonFinite,
@@ -87,6 +86,8 @@ class RunConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.k_range[0] > self.k_range[1]:
             raise ValueError(f"k-range {self.k_range} is empty")
+        if self.k_range[0] < 2:
+            raise ValueError(f"k-range {self.k_range} starts below 2 clusters")
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -216,8 +217,6 @@ def _load_grid(config: RunConfig) -> BeatGrid:
 
 
 def _find_session(config: RunConfig, session_id: str) -> Session:
-    if config.dataset_dir is None:
-        raise UnknownSession("no dataset directory configured")
     session = find_session(config.dataset_dir, session_id)
     if session is None:
         raise UnknownSession(f"session {session_id!r} not found in {config.dataset_dir}")
@@ -237,16 +236,8 @@ def _performance_values(session: Session, column: str,
 def cmd_validate(config: RunConfig) -> int:
     """Quality-audit every session file and write one report per session."""
     from . import quality
-    if config.dataset_dir is None:
-        log.error("validate needs --dataset (or %s)", DATASET_ENV_VAR)
-        return 1
+    walk = DatasetWalk(config.dataset_dir)
     out = _ensure_writable(config.output_dir) / "validate"
-    try:
-        walk = DatasetWalk(config.dataset_dir)
-    except OSError as exc:
-        log.error("cannot read dataset directory: %s", exc)
-        return 1
-
     for session in walk:
         report = quality.integrity_report(session, config.confidence_threshold,
                                           iqr_k=config.iqr_k)
@@ -420,10 +411,6 @@ def cmd_compare(config: RunConfig) -> int:
     outputs need is kept, and the outputs are ordered by session id.
     """
     from . import analytics, quality, stats
-    if config.dataset_dir is None:
-        log.error("compare needs --dataset (or %s)", DATASET_ENV_VAR)
-        return 1
-
     session_count = 0
     summary_rows = []
     box_stats = {}
@@ -469,12 +456,10 @@ def cmd_compare(config: RunConfig) -> int:
               summary_rows)
     write_json(out / "boxplot.json", box_stats)
 
-    try:
-        # The group order sets the order of ANOVA's floating-point sums.
-        anova = stats.anova_oneway([groups[sid] for sid in sorted(groups)]).as_dict()
-    except (TooFewGroups, DegenerateVariance) as exc:
-        anova = dict(INSUFFICIENT, reason=str(exc))
-    write_json(out / "anova.json", anova)
+    # The group order sets the order of ANOVA's floating-point sums.
+    write_json(out / "anova.json", _or_insufficient(
+        lambda: stats.anova_oneway([groups[sid] for sid in sorted(groups)]).as_dict(),
+        TooFewGroups, DegenerateVariance))
 
     write_json(out / "top_correlated.json", {
         sid: {"correlation": correlations[sid], "choruses": overlays[sid]}
@@ -501,11 +486,9 @@ def cmd_cluster(config: RunConfig, session_id: str, column: str = "eda") -> int:
                     "silhouette table will be uninformative", column)
 
     lo, hi = config.k_range
-    if hi > rows - 1:
+    if lo <= rows - 1 < hi:  # select_k refuses a range that the clamp would empty
         hi = rows - 1
         log.warning("k-range upper bound clamped to %d (only %d bars)", hi, rows)
-    if lo > hi:
-        raise InvalidRange(f"k range [{lo}, {hi}] invalid for {rows} bars")
     best_k, diagnostics = cluster.select_k(matrix.rows, (lo, hi), seed=config.seed,
                                            row_labels=matrix.bar_index)
     result = next(d.fit for d in diagnostics if d.k == best_k)
@@ -577,6 +560,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
+        if config.dataset_dir is None:
+            raise ValueError(f"{args.command} needs --dataset (or {DATASET_ENV_VAR})")
     except (ValueError, OSError) as exc:
         log.error("%s", exc)
         return 1

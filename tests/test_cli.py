@@ -75,6 +75,13 @@ class TestConfig:
         values = load_config_file(cfg)
         assert values == {"seed": "7", "iqr_k": "2.0", "svg": "true"}
 
+    def test_config_line_without_equals_names_file_and_line(self, tmp_path):
+        cfg = tmp_path / "musicking.conf"
+        cfg.write_text("seed=7\n# a comment\nsvg  # no value\n")
+        with pytest.raises(ValueError,
+                           match=r"musicking\.conf:3: expected key=value, got 'svg  # no value'"):
+            load_config_file(cfg)
+
     def test_flag_beats_config_file(self, tmp_path):
         cfg = tmp_path / "musicking.conf"
         cfg.write_text("seed=7\nwindow_seconds=20\n")
@@ -220,6 +227,17 @@ class TestSettings:
         assert "seed" in lines[0] and "-1" in lines[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("k_range", ["1:3", "0:3"])
+    def test_k_range_below_two_refused_before_writing(self, tmp_path, grid, k_range):
+        (session_id,) = write_corpus(tmp_path / "data", grid, count=1, tail_count=4)
+        proc = _run_module(["cluster", "--session", session_id, "--dataset",
+                            str(tmp_path / "data"), "--out", str(tmp_path / "out"),
+                            "--k-range", k_range])
+        assert proc.returncode == 1
+        lo, hi = k_range.split(":")
+        assert proc.stderr == f"ERROR k-range ({lo}, {hi}) starts below 2 clusters\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestCmdValidate:
     def test_clean_corpus_exit_zero(self, tmp_path, grid):
@@ -247,9 +265,12 @@ class TestCmdValidate:
         config = config_for(tmp_path)
         assert cmd_validate(config) == 2
 
-    def test_missing_dataset_dir_exit_one(self, tmp_path):
-        config = config_for(tmp_path)  # data dir never created
-        assert cmd_validate(config) == 1
+    def test_missing_dataset_dir_exit_one(self, tmp_path, caplog):
+        with caplog.at_level("INFO", logger="musicking_lab"):
+            assert main(["validate", "--dataset", str(tmp_path / "data"),  # never created
+                         "--out", str(tmp_path / "out")]) == 1
+        assert [record.levelname for record in caplog.records] == ["ERROR"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("session_id", ["../escaped/x", "nul\0"])
     def test_id_that_is_not_a_file_name_writes_nothing_outside(self, tmp_path, grid, session_id):
@@ -264,8 +285,13 @@ class TestCmdValidate:
                 for path in (tmp_path / "out").rglob("*")} == \
             {"validate", f"validate/{ids[1]}.quality.json", "validate/summary.json"}
 
-    def test_no_dataset_configured(self, tmp_path):
-        assert cmd_validate(RunConfig(output_dir=str(tmp_path / "out"))) == 1
+    def test_no_dataset_configured(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.delenv("MUSICKING_LAB_DATASET", raising=False)
+        with caplog.at_level("INFO", logger="musicking_lab"):
+            assert main(["validate", "--out", str(tmp_path / "out")]) == 1
+        assert [(record.levelname, record.getMessage()) for record in caplog.records] == \
+            [("ERROR", "validate needs --dataset (or MUSICKING_LAB_DATASET)")]
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +349,14 @@ class TestCmdAnalyze:
             (tmp_path / "out" / "analyze" / "noflow" / "analysis.json").read_text())
         assert bundle["sections"]["summaries"]["flow"]["status"] == "insufficient data"
         assert bundle["sections"]["summaries"]["eda"]["count"] > 0
+
+    def test_all_null_flow_draws_no_flow_histogram(self, tmp_path):
+        write_rows(tmp_path / "data", "noflow", 30, flow=[None] * 30,
+                   hardware_bitalino_eda=[400 + i % 7 for i in range(30)])
+        assert cmd_analyze(config_for(tmp_path, svg=True), "noflow") == 0
+        out = tmp_path / "out" / "analyze" / "noflow"
+        assert (out / "eda_histogram.svg").exists() and (out / "flow_timeseries.svg").exists()
+        assert not (out / "flow_histogram.svg").exists()
 
     def test_two_record_session(self, tmp_path, grid):
         data_dir = tmp_path / "data"
@@ -514,6 +548,21 @@ class TestCmdCluster:
         assert main(["cluster", "--dataset", str(tmp_path / "data"),
                      "--out", str(tmp_path / "out"), "--session", "missing"]) == 1
 
+    def test_k_range_clamped_only_when_a_k_is_left(self, tmp_path):
+        # 100 records 130 ms apart cover 4 bars of the bundled grid, so k <= 3.
+        write_rows(tmp_path / "data", "short", 100, sync_chorus_id=[1] * 100,
+                   hardware_bitalino_eda=[400 + (i * 7) % 13 for i in range(100)])
+        argv = ["cluster", "--session", "short", "--dataset", str(tmp_path / "data")]
+        clamped = _run_module([*argv, "--out", str(tmp_path / "clamped"), "--k-range", "3:8"])
+        assert clamped.returncode == 0
+        assert clamped.stderr.splitlines()[0] == \
+            "WARNING k-range upper bound clamped to 3 (only 4 bars)"
+        diagnostics = tmp_path / "clamped" / "cluster" / "short" / "diagnostics.csv"
+        assert [line.split(",")[0] for line in diagnostics.read_text().splitlines()] == ["k", "3"]
+        refused = _run_module([*argv, "--out", str(tmp_path / "refused"), "--k-range", "4:8"])
+        assert refused.returncode == 1
+        assert refused.stderr == "ERROR k range [4, 8] invalid for 4 rows\n"
+
 
 def write_huge_eda_corpus(directory: Path) -> None:
     """Two sessions of unequal length whose integer EDA is near the double maximum."""
@@ -531,6 +580,33 @@ def _run_module(argv) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(musicking_lab.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "musicking_lab.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+# Each command with the flags it needs besides the dataset.
+_COMMAND_ARGV = [["validate"], ["compare"], ["analyze", "--session", "s"],
+                 ["cluster", "--session", "s"]]
+
+
+class TestDatasetRefusedBeforeWriting:
+    """``main`` refuses a missing or unreadable dataset before a command writes."""
+
+    @pytest.mark.parametrize("command", _COMMAND_ARGV, ids=lambda argv: argv[0])
+    def test_no_dataset_configured(self, tmp_path, monkeypatch, command):
+        monkeypatch.delenv("MUSICKING_LAB_DATASET", raising=False)
+        proc = _run_module([*command, "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert proc.stderr == f"ERROR {command[0]} needs --dataset (or MUSICKING_LAB_DATASET)\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", _COMMAND_ARGV, ids=lambda argv: argv[0])
+    def test_dataset_directory_missing(self, tmp_path, command):
+        proc = _run_module([*command, "--dataset", str(tmp_path / "nope"),
+                            "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR ")
+        assert str(tmp_path / "nope") in lines[0]
+        assert not (tmp_path / "out").exists()
 
 
 class TestBadBeatGrid:

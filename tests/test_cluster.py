@@ -166,6 +166,16 @@ class TestKmeansFit:
         with pytest.raises(ValueError, match="distinct"):
             kmeans_fit(X, 2, seed=0, row_labels=[1, 1, 2, 3])
 
+    @pytest.mark.parametrize("X, k, kwargs, message", [
+        (np.zeros(4), 1, {}, r"X must be 2-D, got shape \(4,\)"),
+        (np.zeros((4, 2)), 0, {}, "k must be >= 1, got 0"),
+        (np.zeros((4, 2)), 2, {"n_init": 0}, "n_init must be >= 1, got 0"),
+        (np.zeros((4, 2)), 2, {"row_labels": [1, 2, 3]}, "3 row labels for 4 rows"),
+    ], ids=["not 2-D", "k below 1", "no starts", "label count"])
+    def test_bad_argument_refused(self, X, k, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            kmeans_fit(X, k, seed=0, **kwargs)
+
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             kmeans_fit(np.zeros((2, 2)), 3, seed=0)

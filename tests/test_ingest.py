@@ -293,7 +293,8 @@ class TestParseBeatGrid:
         ('{"duration_s": NaN}', "non-finite literal NaN"),
         ("[" * 100_000 + "]" * 100_000, "not valid JSON"),
         ('{"duration_s": 1' + "0" * 5000 + "}", "not valid JSON"),
-    ], ids=["NaN literal", "nested too deeply", "integer too long"])
+        ("[0.5, 1.5]", "beat grid document is not an object"),
+    ], ids=["NaN literal", "nested too deeply", "integer too long", "top-level array"])
     def test_read_with_the_session_decoder(self, text, message):
         with pytest.raises(MalformedDocument, match=message):
             parse_beat_grid(text)

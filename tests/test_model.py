@@ -22,10 +22,13 @@ from musicking_lab.analytics import mean_trajectory
 from musicking_lab.errors import InvariantError, SchemaError, UnknownColumn
 from musicking_lab.ingest import parse_session_file
 from musicking_lab.model import (
+    BarFeatureMatrix,
     BeatGrid,
     CHORUS_IDS,
+    ColumnQuality,
     EEG_CHANNELS,
     Keypoint,
+    QualityReport,
     Record,
     SKELETON_AXES,
     SKELETON_PARTS,
@@ -195,6 +198,24 @@ class TestBeatGrid:
         fields = dict(tempo_bpm=60.0, duration_s=10.0, audio_sample_rate_hz=22050)
         with pytest.raises(InvariantError, match=f"{field} must be > 0"):
             BeatGrid(beat_times=(0.0,), bar_times=(0.0,), **{**fields, field: value})
+
+
+class TestReportInvariants:
+    @pytest.mark.parametrize("counts, message", [
+        ({"missing_count": 4}, r"eda: count 4 outside \[0, 3\]"),
+        ({"outlier_count": -1}, r"eda: count -1 outside \[0, 3\]"),
+        ({"minus_one_count": 0, "zero_count": 0, "low_confidence_count": 5},
+         r"eda: count 5 outside \[0, 3\]"),
+    ], ids=["missing above records", "negative outliers", "low confidence above records"])
+    def test_quality_counter_outside_record_count(self, counts, message):
+        with pytest.raises(InvariantError, match=message):
+            QualityReport("s", 3, {"eda": ColumnQuality(**counts)})
+
+    def test_bar_feature_rows_must_match_bars_and_features(self):
+        with pytest.raises(InvariantError,
+                           match=r"rows shape \(2, 3\) does not match 2 bars x 2 features"):
+            BarFeatureMatrix(bar_index=(0, 1), feature_names=("mean", "std"),
+                             rows=np.zeros((2, 3)))
 
 
 class TestColumns:

@@ -87,3 +87,17 @@ def test_order_statistics_come_from_series():
             elif name == "isin":
                 found.append(f"{path.name}:{node.lineno}: np.isin; use model._isin")
     assert found == []
+
+
+def test_only_main_reports_errors():
+    # Commands raise; ``cli.main`` turns each refusal into its one ERROR line.
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    in_main = {id(node) for function in tree.body
+               if isinstance(function, ast.FunctionDef) and function.name == "main"
+               for node in ast.walk(function)}
+    found = [f"{path.name}:{node.lineno}: log.error outside main" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "error" and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "log" and id(node) not in in_main]
+    assert found == []
