@@ -3,7 +3,9 @@
 Structured outputs (JSON/CSV) are byte-deterministic for a given input,
 config, and seed: keys are sorted, floats use repr round-tripping, and no
 timestamps are embedded.  Logs go to stderr so the tool composes in
-pipelines; data goes only to files under --out.
+pipelines; data goes only to files under --out.  Each command computes all
+its files before one writer creates any, so a refused run writes nothing
+under --out, and an unwritable --out is reported after the work.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 partial success (some
 dataset files skipped).
@@ -190,21 +192,25 @@ def write_json(path: Path, payload) -> None:
     path.write_text(text + "\n")
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def write_csv(path: Path, rows: list[list]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerows(rows)
 
 
-def _ensure_writable(directory: str) -> Path:
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    probe = path / ".write-probe"
-    probe.write_text("")
-    probe.unlink()
-    return path
+def _write(output_dir: str, files: dict) -> None:
+    """Write each file, keyed by its path under ``output_dir``, by suffix: a
+    JSON payload, CSV rows with the header first, or SVG text.  JSON goes
+    first, so a non-finite payload is refused before a CSV or SVG exists."""
+    for name in sorted(files, key=lambda name: not name.endswith(".json")):
+        path = Path(output_dir, name)
+        if name.endswith(".json"):
+            write_json(path, files[name])
+        elif name.endswith(".csv"):
+            write_csv(path, files[name])
+        else:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(files[name])
 
 
 def _load_grid(config: RunConfig) -> BeatGrid:
@@ -237,17 +243,17 @@ def cmd_validate(config: RunConfig) -> int:
     """Quality-audit every session file and write one report per session."""
     from . import quality
     walk = DatasetWalk(config.dataset_dir)
-    out = _ensure_writable(config.output_dir) / "validate"
+    files = {}
     for session in walk:
-        report = quality.integrity_report(session, config.confidence_threshold,
-                                          iqr_k=config.iqr_k)
-        write_json(out / f"{session.session_id}.quality.json", report.as_dict())
+        report = quality.integrity_report(session, config.confidence_threshold, iqr_k=config.iqr_k)
+        files[f"validate/{session.session_id}.quality.json"] = report.as_dict()
     manifest = walk.manifest()
-    write_json(out / "summary.json", {
+    files["validate/summary.json"] = {
         "config": config.as_dict(),
         "sessions": [asdict(e) for e in manifest.entries],
         "skipped": [list(s) for s in manifest.skipped],
-    })
+    }
+    _write(config.output_dir, files)
     for path, reason in manifest.skipped:
         log.warning("skipped %s: %s", path, reason)
     log.info("validated %d sessions (%d skipped)", len(manifest.entries), len(manifest.skipped))
@@ -275,7 +281,6 @@ def cmd_analyze(config: RunConfig, session_id: str) -> int:
     from . import analytics, quality, timing
     session = _find_session(config, session_id)
     grid = _load_grid(config)
-    out = _ensure_writable(config.output_dir) / "analyze" / session_id
 
     sampling = _or_insufficient(lambda: asdict(timing.infer_sampling_rate(session)),
                                 TooFewRecords)
@@ -340,21 +345,20 @@ def cmd_analyze(config: RunConfig, session_id: str) -> int:
             "occupancy_grids": occupancy,
         },
     }
-    write_json(out / "analysis.json", bundle)
-
-    aligned = timing.align_session(session, grid)
-    write_csv(out / "alignment.csv",
-              ["record_index", "t_ms", "chorus_id", "bar_index", "beat_in_bar"],
-              [[a.record_index, a.t_ms, a.chorus_id, a.bar_index, a.beat_in_bar]
-               for a in aligned])
-
+    out = f"analyze/{session_id}"
+    files = {f"{out}/analysis.json": bundle, f"{out}/alignment.csv": [
+        ["record_index", "t_ms", "chorus_id", "bar_index", "beat_in_bar"],
+        *([a.record_index, a.t_ms, a.chorus_id, a.bar_index, a.beat_in_bar]
+          for a in timing.align_session(session, grid))]}
     if config.svg:
-        _write_analyze_svgs(out, session, bundle)
-    log.info("analyzed session %s into %s", session_id, out)
+        files.update((f"{out}/{name}", text) for name, text in _analyze_svgs(session, bundle))
+    _write(config.output_dir, files)
+    log.info("analyzed session %s into %s", session_id, Path(config.output_dir, out))
     return 0
 
 
-def _write_analyze_svgs(out: Path, session: Session, bundle: dict) -> None:
+def _analyze_svgs(session: Session, bundle: dict):
+    """Each figure of ``analyze --svg`` as (file name, SVG text)."""
     from . import analytics, svg
     sections = bundle["sections"]
     eda = column_values(session, "eda")
@@ -362,22 +366,19 @@ def _write_analyze_svgs(out: Path, session: Session, bundle: dict) -> None:
     tracks = {"eda": eda}
     if isinstance(sections["rolling_tracks"], dict) and "eda_mean" in sections["rolling_tracks"]:
         tracks["eda rolling mean"] = sections["rolling_tracks"]["eda_mean"]
-    (out / "eda_timeseries.svg").write_text(svg.line_chart(tracks, title="EDA"))
-    (out / "flow_timeseries.svg").write_text(svg.line_chart({"flow": flow}, title="flow"))
+    yield "eda_timeseries.svg", svg.line_chart(tracks, title="EDA")
+    yield "flow_timeseries.svg", svg.line_chart({"flow": flow}, title="flow")
     for name, values in (("eda", eda), ("flow", flow)):
         try:
             bins = analytics.histogram(values, 20)
         except EmptySeries:
             continue
-        (out / f"{name}_histogram.svg").write_text(
-            svg.histogram_chart(bins, title=f"{name} distribution"))
+        yield f"{name}_histogram.svg", svg.histogram_chart(bins, title=f"{name} distribution")
     for part, grid_counts in sections["occupancy_grids"].items():
         if isinstance(grid_counts, list):
-            (out / f"occupancy_{part}.svg").write_text(
-                svg.heatmap(grid_counts, title=f"{part} occupancy"))
+            yield f"occupancy_{part}.svg", svg.heatmap(grid_counts, title=f"{part} occupancy")
     matrix = sections["eeg_correlation"]
-    (out / "eeg_correlation.svg").write_text(
-        svg.heatmap(matrix["values"], title="EEG channel correlation"))
+    yield "eeg_correlation.svg", svg.heatmap(matrix["values"], title="EEG channel correlation")
 
 
 # -- compare -----------------------------------------------------------------
@@ -448,23 +449,22 @@ def cmd_compare(config: RunConfig) -> int:
             overlays = {sid: overlays[sid] for sid in top if sid in overlays}
     if session_count < 2:
         raise TooFewSessions(f"compare needs >= 2 sessions, found {session_count}")
-    out = _ensure_writable(config.output_dir) / "compare"
 
     summary_rows.sort(key=lambda row: row[0])
-    write_csv(out / "eda_summary.csv",
-              ["session_id", "count", "mean", "std", "min", "25%", "50%", "75%", "max"],
-              summary_rows)
-    write_json(out / "boxplot.json", box_stats)
-
-    # The group order sets the order of ANOVA's floating-point sums.
-    write_json(out / "anova.json", _or_insufficient(
-        lambda: stats.anova_oneway([groups[sid] for sid in sorted(groups)]).as_dict(),
-        TooFewGroups, DegenerateVariance))
-
-    write_json(out / "top_correlated.json", {
-        sid: {"correlation": correlations[sid], "choruses": overlays[sid]}
-        for sid in _top_correlated(correlations)})
-    log.info("compared %d sessions into %s", session_count, out)
+    _write(config.output_dir, {
+        "compare/eda_summary.csv": [
+            ["session_id", "count", "mean", "std", "min", "25%", "50%", "75%", "max"],
+            *summary_rows],
+        "compare/boxplot.json": box_stats,
+        # The group order sets the order of ANOVA's floating-point sums.
+        "compare/anova.json": _or_insufficient(
+            lambda: stats.anova_oneway([groups[sid] for sid in sorted(groups)]).as_dict(),
+            TooFewGroups, DegenerateVariance),
+        "compare/top_correlated.json": {
+            sid: {"correlation": correlations[sid], "choruses": overlays[sid]}
+            for sid in _top_correlated(correlations)},
+    })
+    log.info("compared %d sessions into %s", session_count, Path(config.output_dir, "compare"))
     return 0
 
 
@@ -475,7 +475,6 @@ def cmd_cluster(config: RunConfig, session_id: str, column: str = "eda") -> int:
     from . import cluster, timing
     session = _find_session(config, session_id)
     grid = _load_grid(config)
-    out = _ensure_writable(config.output_dir) / "cluster" / session_id
 
     matrix = cluster.bar_features(
         session, grid, column,
@@ -493,14 +492,11 @@ def cmd_cluster(config: RunConfig, session_id: str, column: str = "eda") -> int:
                                            row_labels=matrix.bar_index)
     result = next(d.fit for d in diagnostics if d.k == best_k)
 
-    write_csv(out / "diagnostics.csv", ["k", "inertia", "silhouette"],
-              [[d.k, d.inertia, d.silhouette] for d in diagnostics])
     payload = result.as_dict()
     payload["column"] = column
     payload["feature_names"] = list(matrix.feature_names)
     payload["dropped_bars"] = list(matrix.dropped)
     payload["best_k"] = best_k
-    write_json(out / "cluster_result.json", payload)
 
     chorus_of_bar = timing.per_bar_chorus(
         session, grid, include_nonperformance=not config.exclude_nonperformance)
@@ -510,13 +506,17 @@ def cmd_cluster(config: RunConfig, session_id: str, column: str = "eda") -> int:
         row = contingency.setdefault(str(assigned), {})
         key = "none" if chorus is None else str(chorus)
         row[key] = row.get(key, 0) + 1
-    write_json(out / "contingency.json", contingency)
 
+    out = f"cluster/{session_id}"
+    files = {f"{out}/diagnostics.csv": [["k", "inertia", "silhouette"],
+                                         *([d.k, d.inertia, d.silhouette] for d in diagnostics)],
+             f"{out}/cluster_result.json": payload, f"{out}/contingency.json": contingency}
     if config.svg:
         from . import svg
-        (out / "silhouette.svg").write_text(svg.histogram_chart(
+        files[f"{out}/silhouette.svg"] = svg.histogram_chart(
             [(float(d.k), float(d.k) + 1.0, max(0.0, d.silhouette)) for d in diagnostics],
-            title="silhouette by k"))
+            title="silhouette by k")
+    _write(config.output_dir, files)
     log.info("clustered %s.%s: best k=%d, sizes=%s", session_id, column,
              best_k, list(result.sizes))
     return 0

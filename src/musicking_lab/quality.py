@@ -41,17 +41,6 @@ class OutlierEntry:
 
 
 @dataclass(frozen=True)
-class OutlierReport:
-    """Per-column IQR outlier entries for one session."""
-
-    columns: dict[str, OutlierEntry]
-
-    def as_dict(self) -> dict:
-        return {name: {"indices": list(e.indices), "lower": e.lower, "upper": e.upper}
-                for name, e in self.columns.items()}
-
-
-@dataclass(frozen=True)
 class SentinelCounts:
     """Counts of -1s, literal zeros, and low-confidence rows in one column."""
 
@@ -94,24 +83,6 @@ def iqr_outliers(values: Sequence[float | None], k: float = DEFAULT_IQR_K) -> Ou
     """
     mask, lower, upper = _iqr_mask(values, k)
     return OutlierEntry(indices=tuple(np.flatnonzero(mask).tolist()), lower=lower, upper=upper)
-
-
-def outlier_report(session: Session, k: float = DEFAULT_IQR_K) -> OutlierReport:
-    """IQR outlier entries for every canonical column of a session.
-
-    Columns with fewer than 4 non-null values are omitted rather than
-    failing the whole report.
-
-    Raises:
-        NonFinite: A column with an infinite value.
-    """
-    columns: dict[str, OutlierEntry] = {}
-    for name in canonical_columns():
-        try:
-            columns[name] = iqr_outliers(_column(session, name), k=k)
-        except TooFewValues:
-            continue
-    return OutlierReport(columns=columns)
 
 
 def impute_median(values: Sequence[float | None]) -> list[float | None]:

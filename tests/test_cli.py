@@ -562,6 +562,7 @@ class TestCmdCluster:
         refused = _run_module([*argv, "--out", str(tmp_path / "refused"), "--k-range", "4:8"])
         assert refused.returncode == 1
         assert refused.stderr == "ERROR k range [4, 8] invalid for 4 rows\n"
+        assert not (tmp_path / "refused").exists()
 
 
 def write_huge_eda_corpus(directory: Path) -> None:
@@ -607,6 +608,22 @@ class TestDatasetRefusedBeforeWriting:
         assert len(lines) == 1 and lines[0].startswith("ERROR ")
         assert str(tmp_path / "nope") in lines[0]
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", _COMMAND_ARGV, ids=lambda argv: argv[0])
+def test_out_that_is_a_file_is_refused_after_the_work(tmp_path, command):
+    # Only the writer creates --out, so this is the one refusal that comes late.
+    for sid in ("s", "t"):
+        write_rows(tmp_path / "data", sid, 400, sync_chorus_id=[1] * 400,
+                   hardware_bitalino_eda=[400 + (i * 7) % 13 for i in range(400)])
+    (tmp_path / "out").write_text("a file\n")
+    proc = _run_module([*command, "--dataset", str(tmp_path / "data"),
+                        "--out", str(tmp_path / "out")])
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR ")
+    assert str(tmp_path / "out") in lines[0]
+    assert (tmp_path / "out").read_text() == "a file\n"
 
 
 class TestBadBeatGrid:
@@ -676,6 +693,20 @@ class TestFiniteButHugeValues:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR") and message in lines[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_whose_fences_overflow(self, tmp_path):
+        # ANOVA has one group and reports insufficient data, so the encoder
+        # is what refuses the infinite fence: before eda_summary.csv exists.
+        write_rows(tmp_path / "data", "a", 4, sync_chorus_id=[1] * 4,
+                   hardware_bitalino_eda=[-1.7e308, -1.7e308, 1.7e308, 1.7e308])
+        write_rows(tmp_path / "data", "b", 4, sync_chorus_id=[1] * 4)
+        proc = _run_module(["compare", "--dataset", str(tmp_path / "data"),
+                            "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert proc.stderr == (f"ERROR {tmp_path / 'out' / 'compare' / 'boxplot.json'}: Out of "
+                               "range float values are not JSON compliant: -inf\n")
+        assert not (tmp_path / "out").exists()
 
     def test_cluster_prints_no_warning(self, tmp_path):
         # bar_features z-scores infinite feature columns; numpy's invalid-value
@@ -686,6 +717,7 @@ class TestFiniteButHugeValues:
         assert proc.returncode == 1
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
         assert proc.stderr.strip().splitlines()[-1].startswith("ERROR")
+        assert not (tmp_path / "out").exists()
 
     def test_analyze_on_intervals_a_few_ulps_apart(self, tmp_path):
         # The sampling-interval histogram cannot split intervals near 1e300
@@ -704,6 +736,7 @@ class TestFiniteButHugeValues:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR") and "Too many bins" in lines[0]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("clock, message", [
         ((-1.7e308, 1.7e308), "position intervals overflow double precision"),
@@ -720,6 +753,7 @@ class TestFiniteButHugeValues:
                             "--out", str(tmp_path / "out")])
         assert proc.returncode == 1
         assert proc.stderr.strip().splitlines() == [f"ERROR {message}"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seconds", ["1e308", "1e300"])
     def test_analyze_window_of_huge_seconds(self, tmp_path, grid, seconds):
@@ -733,6 +767,7 @@ class TestFiniteButHugeValues:
             assert proc.returncode == 1
             assert re.fullmatch(r"ERROR 1e\+308 s at [0-9.]+ Hz is not a finite sample count\n",
                                 proc.stderr)
+            assert not (tmp_path / "out").exists()
             return
         assert proc.returncode == 0 and proc.stderr.startswith("INFO analyzed session")
         bundle = json.loads((tmp_path / "out" / "analyze" / session_id / "analysis.json")

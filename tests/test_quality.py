@@ -11,7 +11,6 @@ from musicking_lab.quality import (
     integrity_report,
     interpolate_gaps,
     iqr_outliers,
-    outlier_report,
     reliable_columns,
     sentinel_scan,
 )
@@ -47,8 +46,6 @@ class TestIqrOutliers:
         with pytest.raises(NonFinite, match="^IQR of an infinite value$"):
             iqr_outliers(values)
         s = session_of(list(range(len(values))), eda=values)
-        with pytest.raises(NonFinite, match="^IQR of an infinite value$"):
-            outlier_report(s)
         with pytest.raises(NonFinite, match="^IQR of an infinite value$"):
             integrity_report(s, iqr_k=1.5)
         assert integrity_report(s).columns["hardware_bitalino_eda"].outlier_count == 0
@@ -258,22 +255,3 @@ class TestIntegrityReport:
         d = integrity_report(s).as_dict()
         assert d["record_count"] == 2
         assert d["columns"]["flow"]["missing_count"] == 1
-
-
-class TestOutlierReport:
-    def test_per_column_entries(self):
-        s = session_of(list(range(5)), eda=[1, 2, 3, 4, 100], flow=[7, 7, 7, 7, 7])
-        report = outlier_report(s, k=1.5)
-        assert report.columns["hardware_bitalino_eda"].indices == (4,)
-        assert report.columns["flow"].indices == ()
-
-    def test_sparse_columns_omitted(self):
-        s = session_of(list(range(5)), eda=[1, 2, 3, 4, 100])  # flow never set
-        report = outlier_report(s)
-        assert "flow" not in report.columns
-
-    def test_round_trips_to_dict(self):
-        s = session_of(list(range(5)), eda=[1, 2, 3, 4, 100])
-        d = outlier_report(s).as_dict()
-        assert d["hardware_bitalino_eda"]["indices"] == [4]
-        assert d["hardware_bitalino_eda"]["upper"] == 7.0

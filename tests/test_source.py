@@ -89,15 +89,32 @@ def test_order_statistics_come_from_series():
     assert found == []
 
 
+def _cli_calls_outside(*functions: str):
+    """Each call in ``cli.py`` outside the named module-level functions."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(), "cli.py")
+    inside = {id(node) for function in tree.body
+              if isinstance(function, ast.FunctionDef) and function.name in functions
+              for node in ast.walk(function)}
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside]
+
+
 def test_only_main_reports_errors():
     # Commands raise; ``cli.main`` turns each refusal into its one ERROR line.
-    path = PACKAGE / "cli.py"
-    tree = ast.parse(path.read_text(), str(path))
-    in_main = {id(node) for function in tree.body
-               if isinstance(function, ast.FunctionDef) and function.name == "main"
-               for node in ast.walk(function)}
-    found = [f"{path.name}:{node.lineno}: log.error outside main" for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    found = [f"cli.py:{node.lineno}: log.error outside main"
+             for node in _cli_calls_outside("main") if isinstance(node.func, ast.Attribute)
              and node.func.attr == "error" and isinstance(node.func.value, ast.Name)
-             and node.func.value.id == "log" and id(node) not in in_main]
+             and node.func.value.id == "log"]
+    assert found == []
+
+
+def test_only_the_writer_writes_files():
+    # Each command computes its files and hands them to ``cli._write`` last,
+    # so a refused run creates nothing under --out.
+    found = []
+    for node in _cli_calls_outside("_write", "write_json", "write_csv"):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in ("write_json", "write_csv") or (
+                isinstance(node.func, ast.Attribute) and name in ("write_text", "open", "mkdir")):
+            found.append(f"cli.py:{node.lineno}: {name} outside the writer")
     assert found == []
