@@ -4,9 +4,20 @@ music-performance session recordings: skin conductance, four EEG channels,
 beat/bar grid of a shared backing track.
 """
 
+import os
 import sys
 import threading
 from importlib.util import LazyLoader, find_spec, module_from_spec
+
+# OpenBLAS reads its thread count once, as numpy loads it.  One thread skips
+# starting a pool that the package's short dot products never use, and keeps
+# long correlations' bits independent of the core count.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .model import (
     BarFeatureMatrix,

@@ -189,12 +189,12 @@ def write_json(path: Path, payload) -> None:
     except ValueError as exc:
         raise NonFinite(f"{path}: {exc}") from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n")
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def write_csv(path: Path, rows: list[list]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
 
 
@@ -210,7 +210,7 @@ def _write(output_dir: str, files: dict) -> None:
             write_csv(path, files[name])
         else:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(files[name])
+            path.write_text(files[name], encoding="utf-8")
 
 
 def _load_grid(config: RunConfig) -> BeatGrid:
@@ -571,7 +571,7 @@ def main(argv: list[str] | None = None) -> int:
         # results are refused, not as warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             return command(config, *(getattr(args, flag[2:]) for flag in flags))
-    except (MusickingError, OSError) as exc:
+    except (MusickingError, OSError, UnicodeEncodeError) as exc:
         log.error("%s", exc)
         return 1
 

@@ -575,10 +575,10 @@ def write_huge_eda_corpus(directory: Path) -> None:
         (directory / f"{sid}.json").write_text(json.dumps(rows))
 
 
-def _run_module(argv) -> subprocess.CompletedProcess:
+def _run_module(argv, **environ) -> subprocess.CompletedProcess:
     """The CLI in a real process, so numpy warnings reach stderr as they
-    would for a user."""
-    env = dict(os.environ, PYTHONPATH=str(Path(musicking_lab.__file__).parents[1]))
+    would for a user; ``environ`` adds to its environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(musicking_lab.__file__).parents[1]), **environ)
     return subprocess.run([sys.executable, "-m", "musicking_lab.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
 
@@ -790,6 +790,38 @@ class TestFiniteButHugeValues:
         assert not (tmp_path / "bad.json").exists()
 
 
+# Python's own encoding under the C locale is ASCII: no UTF-8 mode and no
+# coercion to C.UTF-8.
+_C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+class TestCLocale:
+    """Data files are UTF-8 whatever the locale."""
+
+    @pytest.fixture
+    def dataset(self, tmp_path, grid):
+        data = tmp_path / "data"
+        write_corpus(data, grid, count=1)
+        session = performance_session(grid, seed=1, session_id="séance")
+        (data / "seance.json").write_text(serialize_session(session), encoding="utf-8")
+        return data
+
+    def test_compare_writes_utf8(self, tmp_path, dataset):
+        proc = _run_module(["compare", "--dataset", str(dataset), "--out", str(tmp_path / "out")],
+                           **_C_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        table = (tmp_path / "out" / "compare" / "eda_summary.csv").read_bytes()
+        assert "séance".encode("utf-8") in table
+
+    def test_validate_refuses_a_file_name_it_cannot_encode(self, tmp_path, dataset):
+        proc = _run_module(["validate", "--dataset", str(dataset), "--out", str(tmp_path / "out")],
+                           **_C_LOCALE)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR"), proc.stderr
+
+
 class TestParser:
     @pytest.mark.parametrize("argv", [
         ["validate", "--session", "x"],
@@ -892,6 +924,54 @@ print(loaded)
 """
 
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _openblas_on_linux() -> bool:
+    import numpy as np
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    return (sys.platform == "linux" and "openblas" in blas.lower()
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+# A thread count read from /proc, of a pool OpenBLAS starts only with 2 or
+# more CPUs to run on.
+_COUNTS_OPENBLAS_THREADS = pytest.mark.skipif(
+    not _openblas_on_linux(), reason="needs Linux, numpy on OpenBLAS and 2 or more CPUs")
+
+
+def _run_probe(probe: str, *args: str, **environ) -> list:
+    """The last stdout line of ``probe`` as JSON, run in a fresh process
+    with none of OpenBLAS's thread variables but those in ``environ``."""
+    env = {key: value for key, value in os.environ.items() if key not in _BLAS_THREAD_VARIABLES}
+    env.update(environ, PYTHONPATH=str(Path(musicking_lab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe, *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+# Runs the code given as its first argument and prints the process's thread
+# count and whether ``os.environ`` is as it was before the code ran.
+_THREADS_PROBE = """
+import json, os, sys
+before = dict(os.environ)
+exec(sys.argv[1])
+print(json.dumps([len(os.listdir("/proc/self/task")), dict(os.environ) == before]))
+"""
+# The package first, as a command's process loads it; then the reprs of
+# correlations over 20,000 samples, longer than OpenBLAS leaves to one thread.
+_CORRELATION_PROBE = """
+import json
+import musicking_lab
+import numpy as np
+from musicking_lab import analytics
+x, y, z = np.random.default_rng(0).normal(size=(3, 20_000)).cumsum(axis=1).tolist()
+matrix = analytics.correlation_matrix({"x": x, "y": y, "z": z})
+print(json.dumps([repr(analytics.correlate(x, y)), repr(matrix.values)]))
+"""
+
+
 class TestFreshProcess:
     def test_numpy_ma_is_never_imported(self, tmp_path, grid):
         # numpy's percentile and median import numpy.ma on first use, an
@@ -905,6 +985,32 @@ class TestFreshProcess:
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_long_correlations_do_not_depend_on_the_thread_count(self):
+        # OpenBLAS splits a long dot product across its threads, which
+        # changes how the sum rounds.
+        default = _run_probe(_CORRELATION_PROBE)
+        assert default == _run_probe(_CORRELATION_PROBE, OPENBLAS_NUM_THREADS="1")
+
+    @_COUNTS_OPENBLAS_THREADS
+    def test_import_loads_one_blas_thread(self):
+        assert _run_probe(_THREADS_PROBE, "import musicking_lab") == [1, True]
+
+    @_COUNTS_OPENBLAS_THREADS
+    def test_numpy_imported_first_keeps_its_threads(self):
+        threads, _ = _run_probe(_THREADS_PROBE, "import numpy")
+        assert _run_probe(_THREADS_PROBE, "import numpy; import musicking_lab") == [threads, True]
+
+    @_COUNTS_OPENBLAS_THREADS
+    @pytest.mark.parametrize("variable, value", [
+        ("OPENBLAS_NUM_THREADS", "2"), ("GOTO_NUM_THREADS", "2"), ("OMP_NUM_THREADS", "2"),
+        ("OPENBLAS_NUM_THREADS", ""),
+    ])
+    def test_a_thread_variable_the_user_set_wins(self, variable, value):
+        threads, _ = _run_probe(_THREADS_PROBE, "import numpy", **{variable: value})
+        assert threads > 1
+        assert _run_probe(_THREADS_PROBE, "import musicking_lab", **{variable: value}) == [
+            threads, True]
 
 
 # Runs the code given as its first argument, with the rest as ``sys.argv``,

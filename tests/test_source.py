@@ -110,11 +110,20 @@ def test_only_main_reports_errors():
 
 def test_only_the_writer_writes_files():
     # Each command computes its files and hands them to ``cli._write`` last,
-    # so a refused run creates nothing under --out.
+    # so a refused run creates nothing under --out.  The writer names the
+    # encoding of each text file, so its bytes do not depend on the locale.
     found = []
-    for node in _cli_calls_outside("_write", "write_json", "write_csv"):
+    outside = _cli_calls_outside("_write", "write_json", "write_csv")
+    for node in outside:
         name = getattr(node.func, "attr", getattr(node.func, "id", None))
         if name in ("write_json", "write_csv") or (
                 isinstance(node.func, ast.Attribute) and name in ("write_text", "open", "mkdir")):
             found.append(f"cli.py:{node.lineno}: {name} outside the writer")
+    outside = {id(node) for node in outside}
+    for node in _cli_calls_outside():
+        name = getattr(node.func, "attr", None)
+        mode = node.args[0].value if name == "open" and node.args else "r"
+        if (id(node) not in outside and name in ("write_text", "open") and "b" not in mode
+                and not any(keyword.arg == "encoding" for keyword in node.keywords)):
+            found.append(f"cli.py:{node.lineno}: {name} without encoding= in the writer")
     assert found == []
