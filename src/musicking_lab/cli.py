@@ -147,7 +147,7 @@ def _read(name: str, reader, text):
 def load_config_file(path: str | Path) -> dict:
     """Flat key=value config; '#' starts a comment, blank lines ignored."""
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -201,9 +201,17 @@ def write_csv(path: Path, rows: list[list]) -> None:
 def _write(output_dir: str, files: dict) -> None:
     """Write each file, keyed by its path under ``output_dir``, by suffix: a
     JSON payload, CSV rows with the header first, or SVG text.  JSON goes
-    first, so a non-finite payload is refused before a CSV or SVG exists."""
+    first, so a non-finite payload is refused before a CSV or SVG exists, and
+    every path is encoded first, so a name the file system cannot hold is
+    refused before anything exists."""
+    paths = {name: Path(output_dir, name) for name in files}
+    for path in paths.values():
+        try:
+            os.fsencode(path)
+        except UnicodeEncodeError as exc:
+            raise OSError(f"{path}: file name not encodable as {exc.encoding}") from None
     for name in sorted(files, key=lambda name: not name.endswith(".json")):
-        path = Path(output_dir, name)
+        path = paths[name]
         if name.endswith(".json"):
             write_json(path, files[name])
         elif name.endswith(".csv"):

@@ -287,11 +287,13 @@ def _session_paths(directory: str | Path) -> list[Path]:
 class DatasetWalk:
     """One pass over a directory's session files, in file-name order.
 
-    Iterating parses each file once and yields every accepted Session.
-    Files that fail to parse are skipped with the reason rather than
-    aborting the walk; exploratory corpora routinely contain a bad file.
-    Duplicate session ids keep the first file and skip the rest.  The
-    directory is listed on construction, so a missing one raises there.
+    Iterating yields every accepted Session.  Files that fail to parse are
+    skipped with the reason rather than aborting the walk; exploratory
+    corpora routinely contain a bad file.  Each file's id is learned as in
+    :func:`find_session`.  Duplicate session ids keep the first file: a
+    later one is skipped as a duplicate before it is decoded, even when the
+    rest of it is malformed; any other file is parsed once.  The directory
+    is listed on construction, so a missing one raises there.
 
     Raises:
         OSError: Directory missing or unreadable.
@@ -306,12 +308,14 @@ class DatasetWalk:
         seen: set[str] = set()
         for path in self._paths:
             try:
-                session = load_session(path)
+                file_id, rows = _file_id(path)
+                if isinstance(file_id, str) and file_id in seen:  # a list id is unhashable
+                    self._skipped.append((str(path), f"duplicate session_id {file_id!r}"))
+                    continue
+                session = parse_session_file(rows if rows is not None else path.read_bytes(),
+                                             path.stem)
             except MusickingError as exc:
                 self._skipped.append((str(path), str(exc)))
-                continue
-            if session.session_id in seen:
-                self._skipped.append((str(path), f"duplicate session_id {session.session_id!r}"))
                 continue
             seen.add(session.session_id)
             self._entries.append(ManifestEntry(session.session_id, str(path), len(session)))
@@ -324,7 +328,8 @@ class DatasetWalk:
 
 
 def discover_dataset(directory: str | Path) -> DatasetManifest:
-    """Scan a directory for session files; see :class:`DatasetWalk`.
+    """Scan a directory for session files; see :class:`DatasetWalk` (a file
+    whose id is already accepted is a duplicate, undecoded even if malformed).
 
     Raises:
         OSError: Directory missing or unreadable.
@@ -359,6 +364,16 @@ def _first_record_id(path: Path):
     return _session_id([row], path.stem)[0]
 
 
+def _file_id(path: Path) -> tuple:
+    """The file's session id as ``parse_session_file`` reads it, and the rows
+    when the whole file had to be decoded (MalformedDocument if it fails)."""
+    file_id = _first_record_id(path)
+    if file_id is not None:
+        return file_id, None
+    rows = _decode_rows(path.read_bytes())
+    return _session_id(rows, path.stem)[0], rows
+
+
 def find_session(directory: str | Path, session_id: str) -> Session | None:
     """The session ``discover_dataset`` would list under ``session_id``.
 
@@ -366,27 +381,19 @@ def find_session(directory: str | Path, session_id: str) -> Session | None:
     record, from a bounded prefix of the file; only when that record has no
     id (or is not an object, or does not fit the prefix) is the whole file
     decoded to read the id as ``parse_session_file`` does, and then those
-    rows are parsed.  Only a file whose id matches is fully parsed, and each
-    file is decoded at most once.  The first such file that parses wins;
-    one that fails is passed over, as the walk skips it.  Returns None when
-    no file holds the id.
+    rows are parsed.  :class:`DatasetWalk` learns ids the same way.  Only a
+    file whose id matches is fully parsed, and each file is decoded at most
+    once.  The first such file that parses wins; one that fails is passed
+    over, as the walk skips it.  Returns None when no file holds the id.
 
     Raises:
         OSError: Directory missing or unreadable.
     """
     for path in _session_paths(directory):
-        rows = None
-        file_id = _first_record_id(path)
-        if file_id is None:
-            try:
-                rows = _decode_rows(path.read_bytes())
-            except MalformedDocument:
-                continue
-            file_id = _session_id(rows, path.stem)[0]
-        if file_id != session_id:
-            continue
         try:
-            return load_session(path) if rows is None else parse_session_file(rows, path.stem)
+            file_id, rows = _file_id(path)
+            if file_id == session_id:
+                return parse_session_file(rows if rows is not None else path.read_bytes(), path.stem)
         except MusickingError:
             continue
     return None

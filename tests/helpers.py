@@ -750,3 +750,32 @@ def reference_select_k(X, k_range, seed=0, max_iter=300, tol=1e-6):
         if score > best_score:
             best_k, best_score = k, score
     return best_k, rows
+
+
+# -- the corpus walk before it learned ids from first records ----------------
+#
+# `DatasetWalk.__iter__` and `manifest` as they were when every file was
+# parsed and a duplicate id was found only after the parse; the walk now
+# skips a duplicate before decoding it, which changes only the reason of a
+# duplicate-id file that also fails to parse.
+
+def reference_walk(directory):
+    """The DatasetManifest of the old walk over ``directory``."""
+    from musicking_lab.errors import MusickingError
+    from musicking_lab.ingest import (DatasetManifest, ManifestEntry, _session_paths,
+                                      load_session)
+
+    entries, skipped, seen = [], [], set()
+    for path in _session_paths(directory):
+        try:
+            session = load_session(path)
+        except MusickingError as exc:
+            skipped.append((str(path), str(exc)))
+            continue
+        if session.session_id in seen:
+            skipped.append((str(path), f"duplicate session_id {session.session_id!r}"))
+            continue
+        seen.add(session.session_id)
+        entries.append(ManifestEntry(session.session_id, str(path), len(session)))
+    entries.sort(key=lambda e: e.session_id)
+    return DatasetManifest(entries=tuple(entries), skipped=tuple(skipped))

@@ -820,6 +820,15 @@ class TestCLocale:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR"), proc.stderr
+        assert "quality.json" in lines[0]  # the refusal names the file
+        assert not (tmp_path / "out").exists()  # every path is checked before any is written
+
+    def test_config_file_read_as_utf8(self, tmp_path, dataset):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# café\ndataset_dir = {dataset}\n", encoding="utf-8")
+        proc = _run_module(["compare", "--config", str(config), "--out", str(tmp_path / "out")],
+                           **_C_LOCALE)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestParser:

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import oracle_parse_error, partial_keypoints, performance_session
+from helpers import oracle_parse_error, partial_keypoints, performance_session, reference_walk
 from musicking_lab import ingest
 from musicking_lab.cli import main
-from musicking_lab.errors import InvariantError, MalformedDocument, SchemaError
+from musicking_lab.errors import InvariantError, MalformedDocument, MusickingError, SchemaError
 from musicking_lab.ingest import (
     discover_dataset,
     find_session,
@@ -306,6 +306,22 @@ def _write_rows(path, session_id, n=3, **extra):
     path.write_text(json.dumps(rows))
 
 
+def _drawn_document(kind: str, session_id: str, data) -> str:
+    """A three-row session document of one kind: valid, truncated at a drawn
+    point, with a NaN literal, or with row 0's id null, empty or a list, or
+    with a scalar row before the rows."""
+    rows = [{"session_id": session_id, "backing_track_position": 130.0 * i,
+             "hardware_bitalino_eda": 400 + i} for i in range(3)]
+    if kind in ("null_id", "empty_id", "list_id"):
+        rows[0]["session_id"] = {"null_id": None, "empty_id": "", "list_id": [session_id]}[kind]
+    if kind == "row_0_scalar":
+        rows.insert(0, 5)
+    text = doc(rows)
+    if kind == "truncated":
+        text = text[:data.draw(st.integers(1, len(text) - 1))]
+    return text.replace("402", "NaN") if kind == "nan" else text
+
+
 class TestDiscoverDataset:
     def test_twenty_five_files(self, tmp_path):
         for i in range(25):
@@ -352,6 +368,51 @@ class TestDiscoverDataset:
         _write_rows(tmp_path / "a.json", "a", n=7)
         manifest = discover_dataset(tmp_path)
         assert manifest.entries[0].record_count == 7
+
+    @pytest.mark.parametrize("damage", ["truncated", "non-integer flow", "clock"])
+    def test_broken_duplicate_skipped_undecoded(self, tmp_path, monkeypatch, damage):
+        _write_rows(tmp_path / "a.json", "same")
+        extra = {"flow": 2.5} if damage == "non-integer flow" else {}
+        _write_rows(tmp_path / "b.json", "same", n=9, **extra)
+        text = (tmp_path / "b.json").read_text()
+        if damage == "truncated":
+            text = text[:len(text) // 2]  # row 0 is whole
+        if damage == "clock":
+            text = text.replace("1040.0", "0.0")
+        (tmp_path / "b.json").write_text(text)
+        with pytest.raises(MusickingError):
+            load_session(tmp_path / "b.json")
+        decoded = _count_decodes(monkeypatch)
+        manifest = discover_dataset(tmp_path)
+        assert manifest.session_ids() == ["same"]
+        # Row 0 names an accepted id, so b is a duplicate before it is decoded.
+        assert manifest.skipped == ((str(tmp_path / "b.json"), "duplicate session_id 'same'"),)
+        assert decoded == [len((tmp_path / "a.json").read_bytes())]
+        # The reference walk, which parses every file first, reports the break.
+        assert reference_walk(tmp_path).skipped[0][1] != manifest.skipped[0][1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["valid", "truncated", "copy", "nan", "null_id",
+                                               "empty_id", "row_0_scalar", "list_id"]),
+                              st.sampled_from(["a", "b", "s1"])),
+                    max_size=6), st.data())
+    def test_same_manifest_as_the_reference_walk(self, files, data):
+        with tempfile.TemporaryDirectory() as name:
+            directory = Path(name)
+            text = None
+            for stem, (kind, session_id) in zip("abcdef", files):
+                if kind != "copy" or text is None:  # a copy repeats the file before it
+                    text = _drawn_document(kind, session_id, data)
+                (directory / f"{stem}.json").write_text(text)
+            manifest, expected = discover_dataset(directory), reference_walk(directory)
+            assert manifest.entries == expected.entries
+            assert [path for path, _ in manifest.skipped] == [path for path, _ in expected.skipped]
+            duplicates = {f"duplicate session_id {i!r}" for i in manifest.session_ids()}
+            for (path, reason), (_, old_reason) in zip(manifest.skipped, expected.skipped):
+                if reason != old_reason:  # only a duplicate id that also fails to parse
+                    assert reason in duplicates and old_reason not in duplicates
+                    with pytest.raises(MusickingError):
+                        load_session(path)
 
 
 class TestInputContract:
@@ -428,6 +489,23 @@ def _count_decodes(monkeypatch) -> list[int]:
     return calls
 
 
+def _decoded_files(monkeypatch, directory) -> list[str]:
+    """The stem of the file each ``ingest._decode_rows`` call decodes, known
+    by its bytes; a byte copy reads as the first file of its content."""
+    stems = {}
+    for path in sorted(directory.iterdir()):
+        stems.setdefault(path.read_bytes(), path.stem)
+    calls = []
+    real = ingest._decode_rows
+
+    def counting(data):
+        calls.append(stems[data])
+        return real(data)
+
+    monkeypatch.setattr(ingest, "_decode_rows", counting)
+    return calls
+
+
 def _split_by_the_prefix(head: str, tail: str) -> bytes:
     """The ASCII ``head``, a string of two-byte characters longer than the
     lookup's prefix, then ``tail``; a space after the first comma, when
@@ -452,10 +530,15 @@ class TestParseOnce:
         return data, tmp_path / "out"
 
     @pytest.mark.parametrize("command,exit_code", [("validate", 2), ("compare", 0)])
-    def test_every_file_parsed_once(self, corpus, parse_calls, command, exit_code):
+    def test_every_file_parsed_once(self, corpus, parse_calls, monkeypatch, command, exit_code):
         data, out = corpus
+        decoded = _decoded_files(monkeypatch, data)
         assert main([command, "--dataset", str(data), "--out", str(out)]) == exit_code
-        assert sorted(parse_calls) == ["f0", "f1", "f2", "f3", "f4"]
+        # f4 is a byte copy of f0: its first record names an accepted id, so
+        # it is skipped undecoded (a decode of it would read as a second f0).
+        assert sorted(parse_calls) == ["f0", "f1", "f2"]
+        # The broken f3 is decoded once, to learn its id, and refused there.
+        assert sorted(decoded) == ["f0", "f1", "f2", "f3"]
 
     @pytest.mark.parametrize("command", ["analyze", "cluster"])
     def test_only_the_session_parsed(self, corpus, parse_calls, command):
