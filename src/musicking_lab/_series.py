@@ -6,14 +6,27 @@ missing values; internally everything is a float ndarray with NaN.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
+
+from .errors import NonFinite
 
 
 def as_array(values: Sequence[float | None]) -> np.ndarray:
     """Copy a nullable sequence into a float array, None -> NaN."""
     return np.array(values, dtype=float)
+
+
+@contextmanager
+def refusing(message: str, error: type[Exception] = NonFinite):
+    """Refuse a numpy overflow, division by zero or invalid operation as ``error(message)``."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise error(message) from None
 
 
 def nonnull(arr: np.ndarray) -> np.ndarray:

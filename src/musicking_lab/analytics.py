@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._series import as_array, nonnull, percentile, runs
+from ._series import as_array, nonnull, percentile, refusing, runs
 from .errors import (
     DegenerateSeries,
     EmptySeries,
@@ -66,24 +66,25 @@ def describe(values: Sequence[float | None]) -> SeriesSummary:
 
     Raises:
         EmptySeries: No non-null value.
-        NonFinite: An infinite value.
+        NonFinite: An infinite value, or an overflow (even the sum of ``[1.7e308] * 3``).
     """
     clean = nonnull(as_array(values))
     if clean.size == 0:
         raise EmptySeries("describe needs at least one non-null value")
     if not np.isfinite(clean).all():
         raise NonFinite("describe of an infinite value")
-    q25, median, q75 = percentile(clean, [25.0, 50.0, 75.0])
-    return SeriesSummary(
-        count=int(clean.size),
-        mean=float(clean.mean()),
-        std=0.0 if clean.size == 1 else float(clean.std(ddof=1)),
-        min=float(clean.min()),
-        q25=float(q25),
-        median=float(median),
-        q75=float(q75),
-        max=float(clean.max()),
-    )
+    with refusing("describe overflows double precision"):
+        q25, median, q75 = percentile(clean, [25.0, 50.0, 75.0])
+        return SeriesSummary(
+            count=int(clean.size),
+            mean=float(clean.mean()),
+            std=0.0 if clean.size == 1 else float(clean.std(ddof=1)),
+            min=float(clean.min()),
+            q25=float(q25),
+            median=float(median),
+            q75=float(q75),
+            max=float(clean.max()),
+        )
 
 
 def histogram(values: Sequence[float | None], bins: int) -> list[tuple[float, float, int]]:
@@ -95,7 +96,7 @@ def histogram(values: Sequence[float | None], bins: int) -> list[tuple[float, fl
 
     Raises:
         EmptySeries: No non-null value.
-        NonFinite: An infinite value.
+        NonFinite: An infinite value, or a range that overflows double precision.
         DegenerateSeries: The range is too narrow at its magnitude for
             ``bins`` distinct edges (values a few ulps apart).
         ValueError: bins < 1.
@@ -108,7 +109,8 @@ def histogram(values: Sequence[float | None], bins: int) -> list[tuple[float, fl
     if not np.isfinite(clean).all():
         raise NonFinite("histogram of an infinite value")
     try:
-        counts, edges = np.histogram(clean, bins=bins)
+        with refusing("histogram range overflows double precision"):
+            counts, edges = np.histogram(clean, bins=bins)
     except ValueError as exc:  # numpy: "Too many bins for data range"
         raise DegenerateSeries(f"histogram: {exc}") from None
     return [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(bins)]
@@ -348,6 +350,7 @@ def mean_trajectory(session: Session, parts: Sequence[str],
 
     Raises:
         UnknownPart: A name outside the skeleton part set.
+        NonFinite: A record's sum of coordinates overflows double precision.
     """
     if not parts:
         raise UnknownPart("parts list is empty")
@@ -357,14 +360,14 @@ def mean_trajectory(session: Session, parts: Sequence[str],
     # Summed part by part from 0.0 in the order given, as sum(xs) / len(xs)
     # adds them; a reduction over the parts could round differently.
     sum_x, sum_y, count = np.zeros((3, len(session)))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with refusing("mean trajectory overflows double precision"):
         for part in parts:
             x, y = _column(session, f"{part}_x"), _column(session, f"{part}_y")
             valid = ~np.isnan(x) & ~((x == SENTINEL) & (y == SENTINEL))
             sum_x += np.where(valid, x, 0.0)
             sum_y += np.where(valid, y, 0.0)
             count += valid
-        none = (count == 0).tolist()
+        none, count = (count == 0).tolist(), np.maximum(count, 1)  # so no 0 / 0
         return ([None if skip else m for m, skip in zip((sum_x / count).tolist(), none)],
                 [None if skip else m for m, skip in zip((sum_y / count).tolist(), none)])
 

@@ -23,8 +23,6 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     EmptySeries,
     DegenerateSeries,
@@ -237,8 +235,7 @@ def _find_session(config: RunConfig, session_id: str) -> Session:
     return session
 
 
-def _performance_values(session: Session, column: str,
-                        exclude_nonperformance: bool) -> np.ndarray:
+def _performance_values(session: Session, column: str, exclude_nonperformance: bool):
     values = _column(session, column)
     if not exclude_nonperformance:
         return values
@@ -253,7 +250,10 @@ def cmd_validate(config: RunConfig) -> int:
     walk = DatasetWalk(config.dataset_dir)
     files = {}
     for session in walk:
-        report = quality.integrity_report(session, config.confidence_threshold, iqr_k=config.iqr_k)
+        try:
+            report = quality.integrity_report(session, config.confidence_threshold, iqr_k=config.iqr_k)
+        except NonFinite as exc:  # named as _load_grid names the grid file
+            raise NonFinite(f"session {session.session_id!r}: {exc}") from None
         files[f"validate/{session.session_id}.quality.json"] = report.as_dict()
     manifest = walk.manifest()
     files["validate/summary.json"] = {
@@ -575,10 +575,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     _, command, flags = _COMMANDS[args.command]
     try:
-        # Overflows, and the NaNs they lead to, are reported where their
-        # results are refused, not as warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return command(config, *(getattr(args, flag[2:]) for flag in flags))
+        return command(config, *(getattr(args, flag[2:]) for flag in flags))
     except (MusickingError, OSError, UnicodeEncodeError) as exc:
         log.error("%s", exc)
         return 1

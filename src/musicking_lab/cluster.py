@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._series import refusing
 from .errors import InvalidK, InvalidRange, NonFinite, TooFewRows
 from .model import BarFeatureMatrix, BeatGrid, Session, _column
 from .timing import PER_BAR_STATS, _bar_groups, _bar_stat
@@ -72,6 +73,7 @@ def bar_features(session: Session, grid: BeatGrid, column: str,
     Raises:
         UnknownColumn: Column name does not resolve.
         ValueError: Unsupported feature statistic.
+        NonFinite: A bar's statistic or a z-score overflows double precision.
     """
     for stat in features:
         if stat not in PER_BAR_STATS:
@@ -82,15 +84,16 @@ def bar_features(session: Session, grid: BeatGrid, column: str,
     groups = _bar_groups(session, grid, values, include_nonperformance, offset_ms)
     kept = [b for b, bucket in enumerate(groups) if bucket.size]
     dropped = [b for b, bucket in enumerate(groups) if not bucket.size]
-    rows = np.array([[_bar_stat(groups[b], stat) for stat in features] for b in kept],
-                    dtype=float)
-    rows = rows.reshape(len(kept), len(features))
-    if standardize and rows.size:
-        mean = rows.mean(axis=0)
-        std = rows.std(axis=0)
-        scale = np.where(std == 0.0, 1.0, std)
-        rows = (rows - mean) / scale
-        rows[:, std == 0.0] = 0.0
+    with refusing(f"per-bar features of {column} overflow double precision"):
+        rows = np.array([[_bar_stat(groups[b], stat) for stat in features] for b in kept],
+                        dtype=float)
+        rows = rows.reshape(len(kept), len(features))
+        if standardize and rows.size:
+            mean = rows.mean(axis=0)
+            std = rows.std(axis=0)
+            scale = np.where(std == 0.0, 1.0, std)
+            rows = (rows - mean) / scale
+            rows[:, std == 0.0] = 0.0
     return BarFeatureMatrix(bar_index=tuple(kept), feature_names=tuple(features),
                             rows=rows, dropped=tuple(dropped))
 

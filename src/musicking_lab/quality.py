@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._series import as_array, median, nonnull, percentile, runs
+from ._series import as_array, median, nonnull, percentile, refusing, runs
 from .errors import AllMissing, NonFinite, TooFewValues
 from .model import (
     SKELETON_AXES,
@@ -55,7 +55,7 @@ def _iqr_mask(values, k: float) -> tuple[np.ndarray, float, float]:
 
     Raises:
         TooFewValues: Fewer than 4 non-null values.
-        NonFinite: An infinite value.
+        NonFinite: An infinite value, or fences that overflow double precision.
     """
     arr = as_array(values)
     clean = nonnull(arr)
@@ -63,12 +63,11 @@ def _iqr_mask(values, k: float) -> tuple[np.ndarray, float, float]:
         raise TooFewValues(f"IQR needs >= 4 non-null values, got {clean.size}")
     if not np.isfinite(clean).all():
         raise NonFinite("IQR of an infinite value")
-    q1, q3 = percentile(clean, [25.0, 75.0])
-    iqr = q3 - q1
-    lower, upper = q1 - k * iqr, q3 + k * iqr
-    with np.errstate(invalid="ignore"):
-        mask = (arr < lower) | (arr > upper)
-    return mask, float(lower), float(upper)
+    with refusing("IQR fences overflow double precision"):
+        q1, q3 = percentile(clean, [25.0, 75.0])
+        iqr = q3 - q1
+        lower, upper = q1 - k * iqr, q3 + k * iqr
+    return (arr < lower) | (arr > upper), float(lower), float(upper)
 
 
 def iqr_outliers(values: Sequence[float | None], k: float = DEFAULT_IQR_K) -> OutlierEntry:
@@ -79,7 +78,7 @@ def iqr_outliers(values: Sequence[float | None], k: float = DEFAULT_IQR_K) -> Ou
 
     Raises:
         TooFewValues: Fewer than 4 non-null values.
-        NonFinite: An infinite value.
+        NonFinite: An infinite value, or fences that overflow double precision.
     """
     mask, lower, upper = _iqr_mask(values, k)
     return OutlierEntry(indices=tuple(np.flatnonzero(mask).tolist()), lower=lower, upper=upper)
@@ -166,7 +165,7 @@ def integrity_report(session: Session,
     outlier counts (columns with fewer than 4 non-null values report 0).
 
     Raises:
-        NonFinite: With ``iqr_k``, a column with an infinite value.
+        NonFinite: With ``iqr_k``, a column with an infinite value or overflowing fences.
     """
     scan = sentinel_scan(session, confidence_threshold)
     columns: dict[str, ColumnQuality] = {}

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._series import as_array, nonnull
+from ._series import as_array, nonnull, refusing
 from .errors import DegenerateVariance, NonFinite, TooFewGroups
 
 _BETA_TOL = 1e-12
@@ -113,8 +113,8 @@ def anova_oneway(groups: Sequence[Sequence[float | None]]) -> AnovaResult:
             non-null observations.
         DegenerateVariance: Zero within-group variance everywhere, which
             leaves F undefined.
-        NonFinite: An infinite value, or the sums of squares or F
-            overflow double precision.
+        NonFinite: An infinite value, or a mean, a sum of squares or F
+            overflows double precision.
     """
     cleaned = [nonnull(as_array(g)) for g in groups]
     if len(cleaned) < 2:
@@ -126,25 +126,22 @@ def anova_oneway(groups: Sequence[Sequence[float | None]]) -> AnovaResult:
             raise NonFinite(f"ANOVA of an infinite value (group {i})")
 
     sizes = np.array([g.size for g in cleaned], dtype=float)
-    means = np.array([g.mean() for g in cleaned])
     total = float(sizes.sum())
-    grand_mean = float(sum(g.sum() for g in cleaned) / total)
-
-    ss_between = float(np.dot(sizes, (means - grand_mean) ** 2))
-    ss_within = float(sum(((g - m) ** 2).sum() for g, m in zip(cleaned, means)))
-    if ss_within == 0.0:
-        raise DegenerateVariance("no within-group variance; F undefined")
-
     df_between = len(cleaned) - 1
     df_within = int(total) - len(cleaned)
-    f_stat = (ss_between / df_between) / (ss_within / df_within)
-    if not all(math.isfinite(v) for v in (ss_between, ss_within, f_stat)):
-        raise NonFinite(f"ANOVA overflows double precision (F = {f_stat})")
+    with refusing("ANOVA overflows double precision"):  # numpy scalars raise; floats would not
+        means = np.array([g.mean() for g in cleaned])
+        grand_mean = sum(g.sum() for g in cleaned) / total
+        ss_between = np.dot(sizes, (means - grand_mean) ** 2)
+        ss_within = sum(((g - m) ** 2).sum() for g, m in zip(cleaned, means))
+        if ss_within == 0.0:
+            raise DegenerateVariance("no within-group variance; F undefined")
+        f_stat = float((ss_between / df_between) / (ss_within / df_within))
     return AnovaResult(
         f_statistic=f_stat,
         p_value=f_survival(f_stat, df_between, df_within),
         df_between=df_between,
         df_within=df_within,
         group_means=tuple(float(m) for m in means),
-        grand_mean=grand_mean,
+        grand_mean=float(grand_mean),
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from ._series import median, runs
+from ._series import median, refusing, runs
 from .errors import InvariantError, MissingChorusIds, OutOfTrack, TooFewBeats, TooFewRecords
 from .model import (
     NONPERFORMANCE_CHORUS_IDS,
@@ -94,11 +94,9 @@ def infer_sampling_rate(session: Session, hist_bins: int = 20) -> SamplingProfil
     """
     if len(session) < 2:
         raise TooFewRecords("sampling rate needs >= 2 records")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with refusing("position intervals overflow double precision", InvariantError):
         intervals = np.diff(_column(session, "backing_track_position"))
         mean_ms = float(intervals.mean())
-    if not (np.isfinite(intervals).all() and np.isfinite(mean_ms)):
-        raise InvariantError("position intervals overflow double precision")
     if not mean_ms > 0:
         raise InvariantError(f"mean position interval must be > 0 ms, got {mean_ms!r}")
     rate = 1000.0 / mean_ms
@@ -122,8 +120,8 @@ def delta_profile(session: Session, bins: int = 20,
         TooFewRecords: Fewer than 2 records.
         TooFewValues: Fewer than 4 non-null deltas (propagated from the
             IQR step).
-        NonFinite: An infinite delta (propagated from the histogram and
-            IQR steps).
+        NonFinite: An infinite delta, or an overflowing range or IQR fence
+            (propagated from the histogram and IQR steps).
     """
     if len(session) < 2:
         raise TooFewRecords("delta profile needs >= 2 records")
@@ -239,12 +237,14 @@ def aggregate_per_bar(session: Session, grid: BeatGrid, column: str,
     Raises:
         UnknownColumn: Column name does not resolve.
         ValueError: Unsupported statistic.
+        NonFinite: A bar's statistic overflows double precision.
     """
     if stat not in PER_BAR_STATS:
         raise ValueError(f"stat must be one of {PER_BAR_STATS}, got {stat!r}")
     values = _column(session, column)
     groups = _bar_groups(session, grid, values, include_nonperformance, offset_ms)
-    return [_bar_stat(bucket, stat) for bucket in groups]
+    with refusing(f"per-bar {stat} of {column} overflows double precision"):
+        return [_bar_stat(bucket, stat) for bucket in groups]
 
 
 def _bar_stat(bucket: np.ndarray, stat: str) -> float | None:

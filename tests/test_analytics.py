@@ -73,6 +73,11 @@ class TestDescribe:
             describe(values)
         assert exc.type is NonFinite
 
+    def test_sum_that_overflows(self):
+        # The mean is representable; the sum behind it is not.
+        with pytest.raises(NonFinite, match="^describe overflows double precision$"):
+            describe([1.7e308] * 3)
+
     def test_single_value(self):
         s = describe([4])
         assert s.count == 1 and s.std == 0.0
@@ -124,6 +129,10 @@ class TestHistogram:
     def test_infinite_value(self):
         with pytest.raises(NonFinite):
             histogram([1.0, math.inf], 4)
+
+    def test_range_that_overflows(self):
+        with pytest.raises(NonFinite, match="^histogram range overflows double precision$"):
+            histogram([-1.7e308, 1.7e308], 4)
 
     @given(st.lists(st.none() | finite, min_size=1, max_size=60),
            st.integers(1, 12))
@@ -535,6 +544,11 @@ class TestMeanTrajectory:
         s = session_of([0], keypoints=[{"nose": sentinel_kp()}])
         mx, my = mean_trajectory(s, ["nose"])
         assert mx == [None] and my == [None]
+
+    def test_sum_that_overflows(self):
+        s = session_of([0], keypoints=[{"nose": kp(1.7e308, 1.0), "neck": kp(1.7e308, 1.0)}])
+        with pytest.raises(NonFinite, match="^mean trajectory overflows double precision$"):
+            mean_trajectory(s, ["nose", "neck"])
 
     def test_unknown_part(self):
         with pytest.raises(UnknownPart):

@@ -28,6 +28,7 @@ from musicking_lab.cli import (
 )
 from musicking_lab.errors import NonFinite, TooFewSessions, UnknownSession
 from musicking_lab.ingest import serialize_session
+from musicking_lab.model import EEG_CHANNELS, SKELETON_PARTS
 
 ANALYZE_SECTIONS = {
     "sampling_profile", "delta_profile", "chorus_segments", "summaries",
@@ -565,13 +566,14 @@ class TestCmdCluster:
         assert not (tmp_path / "refused").exists()
 
 
-def write_huge_eda_corpus(directory: Path) -> None:
-    """Two sessions of unequal length whose integer EDA is near the double maximum."""
+def write_huge_corpus(directory: Path, column: str = "hardware_bitalino_eda") -> None:
+    """Two sessions of unequal length whose integer ``column`` is near the
+    double maximum (and whose EDA is 400 otherwise)."""
     directory.mkdir(parents=True, exist_ok=True)
     for sid, n in (("a", 40), ("b", 42)):
         rows = [{"session_id": sid, "backing_track_position": i * 130.0,
-                 "sync_chorus_id": 1, "flow": 3,
-                 "hardware_bitalino_eda": 10**300 * (1 + i % 5)} for i in range(n)]
+                 "sync_chorus_id": 1, "flow": 3, "hardware_bitalino_eda": 400,
+                 column: 10**300 * (1 + i % 5)} for i in range(n)]
         (directory / f"{sid}.json").write_text(json.dumps(rows))
 
 
@@ -681,12 +683,18 @@ class TestBadBeatGrid:
 
 
 class TestFiniteButHugeValues:
-    @pytest.mark.parametrize("command, message", [
-        (["compare"], "ANOVA overflows double precision"),
-        (["analyze", "--session", "a"], "analysis.json: Out of range float values"),
-    ])
-    def test_exit_one_with_one_line(self, tmp_path, command, message):
-        write_huge_eda_corpus(tmp_path / "data")
+    # describe refuses the EDA sums, before ANOVA and the encoder.  The EEG
+    # rolling variance overflows where all-null windows are ordinary, so
+    # there the encoder refuses analysis.json, before alignment.csv exists.
+    @pytest.mark.parametrize("command, column, message", [
+        (["compare"], "hardware_bitalino_eda", "describe overflows double precision"),
+        (["analyze", "--session", "a"], "hardware_bitalino_eda",
+         "describe overflows double precision"),
+        (["analyze", "--session", "a", "--window-seconds", "1"], "hardware_brainbit_eeg_t3",
+         "analysis.json: Out of range float values"),
+    ], ids=["compare", "analyze", "analyze EEG variance"])
+    def test_exit_one_with_one_line(self, tmp_path, command, column, message):
+        write_huge_corpus(tmp_path / "data", column)
         proc = _run_module([*command, "--dataset", str(tmp_path / "data"),
                             "--out", str(tmp_path / "out")])
         assert proc.returncode == 1
@@ -696,22 +704,30 @@ class TestFiniteButHugeValues:
         assert not (tmp_path / "out").exists()
 
     def test_compare_whose_fences_overflow(self, tmp_path):
-        # ANOVA has one group and reports insufficient data, so the encoder
-        # is what refuses the infinite fence: before eda_summary.csv exists.
+        # describe refuses the sum of the EDA before its fences are taken.
         write_rows(tmp_path / "data", "a", 4, sync_chorus_id=[1] * 4,
                    hardware_bitalino_eda=[-1.7e308, -1.7e308, 1.7e308, 1.7e308])
         write_rows(tmp_path / "data", "b", 4, sync_chorus_id=[1] * 4)
         proc = _run_module(["compare", "--dataset", str(tmp_path / "data"),
                             "--out", str(tmp_path / "out")])
         assert proc.returncode == 1
-        assert proc.stderr == (f"ERROR {tmp_path / 'out' / 'compare' / 'boxplot.json'}: Out of "
-                               "range float values are not JSON compliant: -inf\n")
+        assert proc.stderr == "ERROR describe overflows double precision\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_validate_names_the_session_whose_fences_overflow(self, tmp_path):
+        write_rows(tmp_path / "data", "a", 4, sync_chorus_id=[1] * 4)
+        write_rows(tmp_path / "data", "b", 4, sync_chorus_id=[1] * 4,
+                   hardware_bitalino_eda=[-1.7e308, -1.7e308, 1.7e308, 1.7e308])
+        proc = _run_module(["validate", "--dataset", str(tmp_path / "data"),
+                            "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert proc.stderr == "ERROR session 'b': IQR fences overflow double precision\n"
         assert not (tmp_path / "out").exists()
 
     def test_cluster_prints_no_warning(self, tmp_path):
-        # bar_features z-scores infinite feature columns; numpy's invalid-value
-        # warnings must not reach the user ahead of the one ERROR line.
-        write_huge_eda_corpus(tmp_path / "data")
+        # bar_features' per-bar sums overflow; no numpy warning may reach the
+        # user ahead of the one ERROR line.
+        write_huge_corpus(tmp_path / "data")
         proc = _run_module(["cluster", "--session", "a", "--dataset", str(tmp_path / "data"),
                             "--out", str(tmp_path / "out")])
         assert proc.returncode == 1
@@ -779,7 +795,7 @@ class TestFiniteButHugeValues:
         assert all(value is None for track in tracks.values() for value in track)
 
     def test_via_main(self, tmp_path):
-        write_huge_eda_corpus(tmp_path / "data")
+        write_huge_corpus(tmp_path / "data")
         argv = ["--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
         assert main(["compare", *argv]) == 1
         assert main(["analyze", *argv, "--session", "b"]) == 1
@@ -788,6 +804,50 @@ class TestFiniteButHugeValues:
         with pytest.raises(NonFinite, match="bad.json"):
             write_json(tmp_path / "bad.json", {"x": float("inf")})
         assert not (tmp_path / "bad.json").exists()
+
+
+def write_near_max_corpus(directory: Path, family: str) -> None:
+    """Two sessions whose ``family`` of columns lies near +-1.7e308: the EDA
+    and EEG levels as positive integers, sync_delta and the skeleton x and y
+    with alternating signs."""
+    columns = {"eda": ["hardware_bitalino_eda"],
+               "eeg": [f"hardware_brainbit_eeg_{ch}" for ch in EEG_CHANNELS],
+               "sync_delta": ["sync_delta"],
+               "skeleton": [f"hardware_skeleton_{part}_{axis}"
+                            for part in SKELETON_PARTS for axis in ("x", "y")]}[family]
+    levels = family in ("eda", "eeg")
+    directory.mkdir(parents=True)
+    for sid, n in (("s", 120), ("t", 122)):
+        rows = []
+        for i in range(n):
+            huge = 1.7e308 * (1 - i % 5 / 10)
+            rows.append({"session_id": sid, "backing_track_position": 130.0 * i,
+                         "sync_chorus_id": 1, "flow": 3, "hardware_bitalino_eda": 400 + i % 7,
+                         **{f"hardware_skeleton_{part}_confidence": 0.9
+                            for part in SKELETON_PARTS if family == "skeleton"},
+                         **{key: int(huge) if levels else huge * (-1) ** i for key in columns}})
+        (directory / f"{sid}.json").write_text(json.dumps(rows))
+
+
+class TestNearTheDoubleMaximum:
+    """Each command on a column family near the double maximum writes its
+    files or refuses in one line; no numpy warning reaches the user."""
+
+    @pytest.mark.parametrize("family", ["eda", "eeg", "sync_delta", "skeleton"])
+    @pytest.mark.parametrize("command", [["validate"], ["compare"],
+                                         ["analyze", "--session", "s", "--svg"],
+                                         ["cluster", "--session", "s"]],
+                             ids=lambda argv: argv[0])
+    def test_written_or_refused_in_one_line(self, tmp_path, command, family):
+        write_near_max_corpus(tmp_path / "data", family)
+        proc = _run_module([*command, "--dataset", str(tmp_path / "data"),
+                            "--out", str(tmp_path / "out")])
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.returncode in (0, 1)
+        if proc.returncode == 1:
+            lines = proc.stderr.splitlines()
+            assert [line for line in lines if line.startswith("ERROR")] == lines[-1:]
+            assert not (tmp_path / "out").exists()
 
 
 # Python's own encoding under the C locale is ASCII: no UTF-8 mode and no

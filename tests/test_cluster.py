@@ -67,6 +67,15 @@ class TestBarFeatures:
         # chorus 2 occupies roughly bars 16..31
         assert all(14 <= b <= 33 for b in m.bar_index)
 
+    @pytest.mark.parametrize("positions, eda, standardize", [
+        ([1000.0, 1100.0], [1.7e308, 1.7e308], False),
+        ([1000.0, 5000.0], [1.7e308, -1.7e308], True),
+    ], ids=["mean of one bar", "spread of a feature column"])
+    def test_feature_that_overflows(self, grid, positions, eda, standardize):
+        s = session_of(positions, eda=eda, chorus=[1, 1])
+        with pytest.raises(NonFinite, match="^per-bar features of eda overflow double precision$"):
+            bar_features(s, grid, "eda", standardize=standardize)
+
     def test_bad_feature_name(self, grid):
         with pytest.raises(ValueError):
             bar_features(session_of([0.0]), grid, "eda", features=("mode",))

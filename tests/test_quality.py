@@ -50,6 +50,17 @@ class TestIqrOutliers:
             integrity_report(s, iqr_k=1.5)
         assert integrity_report(s).columns["hardware_bitalino_eda"].outlier_count == 0
 
+    @pytest.mark.parametrize("values", [[-1.7e308, -1.7e308, 1.7e308, 1.7e308],
+                                        [1.0, 2.0, 3.0, 1.7e308, 1.7e308]],
+                             ids=["interquartile range", "upper fence"])
+    def test_fences_that_overflow(self, values):
+        # Finite values, refused where numpy overflows, not warned about.
+        with pytest.raises(NonFinite, match="^IQR fences overflow double precision$"):
+            iqr_outliers(values)
+        s = session_of(list(range(len(values))), eda=values)
+        with pytest.raises(NonFinite, match="^IQR fences overflow double precision$"):
+            integrity_report(s, iqr_k=1.5)
+
     def test_fences_match_oracle_quantiles(self):
         rng = np.random.default_rng(7)
         values = rng.normal(50, 10, size=40).tolist()

@@ -127,3 +127,22 @@ def test_only_the_writer_writes_files():
                 and not any(keyword.arg == "encoding" for keyword in node.keywords)):
             found.append(f"cli.py:{node.lineno}: {name} without encoding= in the writer")
     assert found == []
+
+
+# One overflow policy: ``_series.refusing`` turns numpy's floating-point
+# errors into refusals.  ``_pearson_rows`` keeps its NaN for zero variance as
+# the intended result, and ``_check_spread`` bounds sums of squares that no
+# single numpy operation overflows.
+_ERRSTATE_ALLOWED = {("_series.py", "refusing"), ("analytics.py", "_pearson_rows"),
+                     ("cluster.py", "_check_spread")}
+
+
+def test_errstate_only_in_the_overflow_policy():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for statement in ast.parse(path.read_text(), str(path)).body:
+            where = (path.name, getattr(statement, "name", None))
+            found += [f"{path.name}:{node.lineno}: np.errstate; use _series.refusing"
+                      for node in ast.walk(statement) if isinstance(node, ast.Attribute)
+                      and node.attr == "errstate" and where not in _ERRSTATE_ALLOWED]
+    assert found == []

@@ -118,7 +118,17 @@ class TestAnovaOneway:
     def test_overflowing_sums_of_squares(self, sizes):
         # F is NaN (inf / inf) for unequal groups and a spurious 0 for equal ones.
         groups = [[10**300 * (1 + i % 5) for i in range(n)] for n in sizes]
-        with np.errstate(over="ignore"), pytest.raises(NonFinite):
+        with pytest.raises(NonFinite, match="^ANOVA overflows double precision$"):
+            anova_oneway(groups)
+
+    @pytest.mark.parametrize("groups", [
+        [[0, 0, 0, 2.97e-162], [0, 0, 0, 2.97e-162]],
+        [[0, 0, 0, 2.97e-162], [1, 1, 1, 1]],
+    ], ids=["both mean squares", "within mean square"])
+    def test_mean_square_that_underflows(self, groups):
+        # The within-group sum of squares is the least subnormal; divided by
+        # its degrees of freedom it rounds to 0, so F is 0 / 0 or beyond range.
+        with pytest.raises(NonFinite, match="^ANOVA overflows double precision$"):
             anova_oneway(groups)
 
     @pytest.mark.parametrize("groups, group", [

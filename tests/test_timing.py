@@ -16,6 +16,7 @@ from musicking_lab.cluster import bar_features
 from musicking_lab.errors import (
     InvariantError,
     MissingChorusIds,
+    NonFinite,
     OutOfTrack,
     TooFewBeats,
     TooFewRecords,
@@ -284,6 +285,13 @@ class TestAggregatePerBar:
         assert out[0] == 20.0
         included = aggregate_per_bar(s, grid, "eda", include_nonperformance=True)
         assert included[0] == 20.0
+
+    @pytest.mark.parametrize("stat", ["mean", "sum", "std"])
+    def test_statistic_that_overflows(self, grid, stat):
+        s = session_of([1000.0, 1100.0], eda=[1.7e308, 1.7e308], chorus=[1, 1])
+        with pytest.raises(NonFinite,
+                           match=f"^per-bar {stat} of eda overflows double precision$"):
+            aggregate_per_bar(s, grid, "eda", stat=stat)
 
     def test_unknown_column(self, grid):
         with pytest.raises(UnknownColumn):
