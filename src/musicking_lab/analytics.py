@@ -176,7 +176,10 @@ def _prominence(arr: list[float], peak: int) -> float:
     while i < len(arr) and arr[i] <= height:
         right_min = min(right_min, arr[i])
         i += 1
-    return height - max(left_min, right_min)
+    base = max(left_min, right_min)
+    if height - base == np.inf and np.isfinite(height) and np.isfinite(base):
+        raise NonFinite("peak prominence overflows double precision")
+    return height - base
 
 
 def detect_peaks(values: Sequence[float | None], min_distance_samples: int = 1,
@@ -189,6 +192,9 @@ def detect_peaks(values: Sequence[float | None], min_distance_samples: int = 1,
     ``min_distance_samples`` the higher survives (greedy, by height, ties to
     the earlier).  Distance suppression runs before the prominence filter so
     that raising ``min_prominence`` can only remove peaks, never reveal new ones.
+
+    Raises:
+        NonFinite: A finite peak's prominence overflows double precision.
     """
     if min_distance_samples < 1:
         raise ValueError(f"min_distance_samples must be >= 1, got {min_distance_samples}")

@@ -23,21 +23,7 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import (
-    EmptySeries,
-    DegenerateSeries,
-    DegenerateVariance,
-    MissingChorusIds,
-    MusickingError,
-    NonFinite,
-    NoValidPoints,
-    TooFewGroups,
-    TooFewPairs,
-    TooFewRecords,
-    TooFewSessions,
-    TooFewValues,
-    UnknownSession,
-)
+from .errors import InsufficientData, MusickingError, NonFinite, TooFewSessions, UnknownSession
 from .ingest import DatasetWalk, find_session, load_bundled_beat_grid, parse_beat_grid
 from .model import (
     NONPERFORMANCE_CHORUS_IDS,
@@ -270,12 +256,12 @@ def cmd_validate(config: RunConfig) -> int:
 
 # -- analyze -----------------------------------------------------------------
 
-def _or_insufficient(compute, *errors):
+def _or_insufficient(compute):
     """``compute()``, or the insufficient-data marker with the reason when
-    it raises one of ``errors``."""
+    the data is too short or too flat for it."""
     try:
         return compute()
-    except errors as exc:
+    except InsufficientData as exc:
         return dict(INSUFFICIENT, reason=str(exc))
 
 
@@ -290,12 +276,11 @@ def cmd_analyze(config: RunConfig, session_id: str) -> int:
     session = _find_session(config, session_id)
     grid = _load_grid(config)
 
-    sampling = _or_insufficient(lambda: asdict(timing.infer_sampling_rate(session)),
-                                TooFewRecords)
+    sampling = _or_insufficient(lambda: asdict(timing.infer_sampling_rate(session)))
     rate = sampling.get("rate_hz")
     eda = _column(session, "eda")
     eeg = {f"eeg_{ch}": _column(session, f"eeg_{ch}") for ch in EEG_CHANNELS}
-    eda_summary = _or_insufficient(lambda: analytics.describe(eda).as_dict(), EmptySeries)
+    eda_summary = _or_insufficient(lambda: analytics.describe(eda).as_dict())
 
     if rate is not None:
         window = analytics.seconds_to_samples(config.window_seconds, rate)
@@ -323,7 +308,7 @@ def cmd_analyze(config: RunConfig, session_id: str) -> int:
             occupancy[part] = analytics.occupancy_grid(
                 _column(session, f"{part}_x"), _column(session, f"{part}_y"),
                 *OCCUPANCY_GRID_SHAPE).tolist()
-        except NoValidPoints:
+        except InsufficientData:
             occupancy[part] = dict(INSUFFICIENT, reason="all samples sentinel")
 
     bundle = {
@@ -333,14 +318,12 @@ def cmd_analyze(config: RunConfig, session_id: str) -> int:
         "sections": {
             "sampling_profile": sampling,
             "delta_profile": _or_insufficient(
-                lambda: _delta_payload(timing.delta_profile(session, iqr_k=config.iqr_k)),
-                TooFewRecords, TooFewValues, EmptySeries),
+                lambda: _delta_payload(timing.delta_profile(session, iqr_k=config.iqr_k))),
             "chorus_segments": _or_insufficient(
-                lambda: [asdict(s) for s in timing.segment_choruses(session)],
-                MissingChorusIds),
+                lambda: [asdict(s) for s in timing.segment_choruses(session)]),
             "summaries": {
                 "flow": _or_insufficient(
-                    lambda: analytics.describe(_column(session, "flow")).as_dict(), EmptySeries),
+                    lambda: analytics.describe(_column(session, "flow")).as_dict()),
                 "eda": eda_summary},
             "rolling_tracks": rolling,
             "eda_peaks": peak_section,
@@ -377,11 +360,9 @@ def _analyze_svgs(session: Session, bundle: dict):
     yield "eda_timeseries.svg", svg.line_chart(tracks, title="EDA")
     yield "flow_timeseries.svg", svg.line_chart({"flow": flow}, title="flow")
     for name, values in (("eda", eda), ("flow", flow)):
-        try:
-            bins = analytics.histogram(values, 20)
-        except EmptySeries:
-            continue
-        yield f"{name}_histogram.svg", svg.histogram_chart(bins, title=f"{name} distribution")
+        bins = _or_insufficient(lambda: analytics.histogram(values, 20))
+        if isinstance(bins, list):
+            yield f"{name}_histogram.svg", svg.histogram_chart(bins, title=f"{name} distribution")
     for part, grid_counts in sections["occupancy_grids"].items():
         if isinstance(grid_counts, list):
             yield f"occupancy_{part}.svg", svg.heatmap(grid_counts, title=f"{part} occupancy")
@@ -400,7 +381,7 @@ def _overlay(session: Session) -> list[dict]:
     from . import timing
     try:
         segments = timing.segment_choruses(session)
-    except MissingChorusIds:
+    except InsufficientData:
         segments = []
     t_ms = _column(session, "backing_track_position").tolist()
     eda = column_values(session, "eda")
@@ -432,7 +413,7 @@ def cmd_compare(config: RunConfig) -> int:
         eda = _performance_values(session, "eda", config.exclude_nonperformance)
         try:
             summary = analytics.describe(eda)
-        except EmptySeries:
+        except InsufficientData:
             continue
         summary_rows.append([session_id, summary.count, summary.mean, summary.std,
                              summary.min, summary.q25, summary.median, summary.q75,
@@ -443,13 +424,13 @@ def cmd_compare(config: RunConfig) -> int:
                 "median": summary.median, "q25": summary.q25, "q75": summary.q75,
                 "lower_fence": lower, "upper_fence": upper,
                 "outlier_count": int(outliers.sum())}
-        except TooFewValues:
+        except InsufficientData:
             box_stats[session_id] = dict(INSUFFICIENT)
         groups[session_id] = eda
         flow = _performance_values(session, "flow", config.exclude_nonperformance)
         try:
             correlations[session_id] = analytics.correlate(eda, flow)
-        except (TooFewPairs, DegenerateSeries):
+        except InsufficientData:
             continue
         top = _top_correlated(correlations)
         if session_id in top:
@@ -466,8 +447,7 @@ def cmd_compare(config: RunConfig) -> int:
         "compare/boxplot.json": box_stats,
         # The group order sets the order of ANOVA's floating-point sums.
         "compare/anova.json": _or_insufficient(
-            lambda: stats.anova_oneway([groups[sid] for sid in sorted(groups)]).as_dict(),
-            TooFewGroups, DegenerateVariance),
+            lambda: stats.anova_oneway([groups[sid] for sid in sorted(groups)]).as_dict()),
         "compare/top_correlated.json": {
             sid: {"correlation": correlations[sid], "choruses": overlays[sid]}
             for sid in _top_correlated(correlations)},

@@ -3,6 +3,12 @@
 Everything derives from MusickingError so callers can catch the whole
 family with one clause; the leaf classes exist because most operations
 have a small, documented error surface and tests assert on the type.
+
+InsufficientData (too short or too flat for the statistic) is the base of
+EmptySeries, AllMissing, TooFewValues, TooFewRecords, TooFewPairs,
+DegenerateSeries, MissingChorusIds, TooFewBeats, NoValidPoints, TooFewGroups
+and DegenerateVariance: ``analyze`` and ``compare`` write its message as a
+section's "insufficient data" reason and go on.  Any other error refuses.
 """
 
 from __future__ import annotations
@@ -33,39 +39,43 @@ class InvariantError(MusickingError):
     """Parsed values violate a structural invariant (e.g. bar not on a beat)."""
 
 
+class InsufficientData(MusickingError):
+    """The data is too short or too flat for the statistic asked of it."""
+
+
 # -- series preconditions -------------------------------------------------
 
-class EmptySeries(MusickingError):
+class EmptySeries(InsufficientData):
     """Series has no non-null values."""
 
 
-class AllMissing(MusickingError):
+class AllMissing(InsufficientData):
     """Every value in the series is null."""
 
 
-class TooFewValues(MusickingError):
+class TooFewValues(InsufficientData):
     """Series has fewer non-null values than the operation requires."""
 
 
-class TooFewRecords(MusickingError):
+class TooFewRecords(InsufficientData):
     """Session has fewer records than the operation requires."""
 
 
-class TooFewPairs(MusickingError):
+class TooFewPairs(InsufficientData):
     """Fewer than the minimum pairwise-complete (x, y) pairs."""
 
 
-class DegenerateSeries(MusickingError):
+class DegenerateSeries(InsufficientData):
     """Zero variance where a correlation needs spread."""
 
 
 # -- timing ---------------------------------------------------------------
 
-class MissingChorusIds(MusickingError):
+class MissingChorusIds(InsufficientData):
     """chorus_id absent on one or more records; impute before segmenting."""
 
 
-class TooFewBeats(MusickingError):
+class TooFewBeats(InsufficientData):
     """Beat grid has fewer than two beats."""
 
 
@@ -81,17 +91,17 @@ class UnknownPart(MusickingError):
     """Body-part name not in the skeleton part set."""
 
 
-class NoValidPoints(MusickingError):
+class NoValidPoints(InsufficientData):
     """All (x, y) samples are sentinels or null."""
 
 
 # -- stats ----------------------------------------------------------------
 
-class TooFewGroups(MusickingError):
+class TooFewGroups(InsufficientData):
     """Fewer than two groups, or a group too small to contribute variance."""
 
 
-class DegenerateVariance(MusickingError):
+class DegenerateVariance(InsufficientData):
     """All observations identical within every group; F undefined."""
 
 

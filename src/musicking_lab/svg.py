@@ -7,6 +7,7 @@ directories stay diffable.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -42,7 +43,8 @@ def line_chart(series: Mapping[str, Sequence[float | None]], title: str = "",
         n = max((len(vs) for vs in series.values()), default=0)
         if all_values and n > 1:
             lo, hi = min(all_values), max(all_values)
-            span = hi - lo or 1.0
+            s = 1.0 if hi - lo < math.inf else 0.5  # halves are exact and cannot overflow
+            span = hi * s - lo * s or 1.0
             for color, (name, values) in zip(_PALETTE, series.items()):
                 runs: list[list[str]] = [[]]
                 for i, v in enumerate(values):
@@ -51,7 +53,7 @@ def line_chart(series: Mapping[str, Sequence[float | None]], title: str = "",
                             runs.append([])
                         continue
                     x = _MARGIN + plot_w * i / (n - 1)
-                    y = _MARGIN + plot_h * (1.0 - (v - lo) / span)
+                    y = _MARGIN + plot_h * (1.0 - (v * s - lo * s) / span)
                     runs[-1].append(f"{_fmt(x)},{_fmt(y)}")
                 for run in runs:
                     if len(run) >= 2:
@@ -89,14 +91,15 @@ def heatmap(matrix: Sequence[Sequence[float]], title: str = "",
         if rows and cols:
             flat = [v for row in matrix for v in row if v is not None]
             lo, hi = (min(flat), max(flat)) if flat else (0.0, 1.0)
-            span = hi - lo or 1.0
+            s = 1.0 if hi - lo < math.inf else 0.5  # as in line_chart
+            span = hi * s - lo * s or 1.0
             cell_w, cell_h = plot_w / cols, plot_h / rows
             for r, row in enumerate(matrix):
                 for c, v in enumerate(row):
                     if v is None:
                         fill = "#cccccc"
                     else:
-                        level = (v - lo) / span
+                        level = (v * s - lo * s) / span
                         other = round(255 * (1.0 - level))
                         fill = f"#ff{other:02x}{other:02x}"
                     x = _MARGIN + c * cell_w

@@ -264,10 +264,15 @@ class TestDetectPeaks:
     def test_matches_scans_with_nulls(self, values, dist, prom):
         # nulls, plateaus, non-integral values and +-inf, against the
         # segment and plateau scans; numpy scalar overflow warnings of the
-        # scans are not under test
-        peaks = detect_peaks(values, dist, prom)
+        # scans are not under test.  A prominence of finite values that
+        # overflows is refused where the scans give inf.
         with np.errstate(all="ignore"):
             indices, prominences = reference_detect_peaks(values, dist, prom)
+        try:
+            peaks = detect_peaks(values, dist, prom)
+        except NonFinite:
+            assert math.inf in prominences
+            return
         assert peaks.indices == indices
         assert [repr(p) for p in peaks.prominences] == [repr(p) for p in prominences]
 
@@ -290,6 +295,11 @@ class TestDetectPeaks:
         lo, hi = min(p1, p2), max(p1, p2)
         assert set(detect_peaks(values, dist, hi).indices) <= \
                set(detect_peaks(values, dist, lo).indices)
+
+    def test_prominence_that_overflows_is_refused(self):
+        # A Python-float subtraction overflows to inf without a warning.
+        with pytest.raises(NonFinite, match="^peak prominence overflows double precision$"):
+            detect_peaks([-1.7e308, 1.7e308, -1.7e308])
 
 
 class TestCorrelate:

@@ -4,9 +4,11 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import performance_session
 import musicking_lab
@@ -682,6 +684,10 @@ class TestBadBeatGrid:
         assert not (tmp_path / "out").exists()
 
 
+_TOO_MANY_BINS = ("histogram: Too many bins for data range. "
+                  "Cannot create 20 finite-sized bins.")
+
+
 class TestFiniteButHugeValues:
     # describe refuses the EDA sums, before ANOVA and the encoder.  The EEG
     # rolling variance overflows where all-null windows are ordinary, so
@@ -737,7 +743,8 @@ class TestFiniteButHugeValues:
 
     def test_analyze_on_intervals_a_few_ulps_apart(self, tmp_path):
         # The sampling-interval histogram cannot split intervals near 1e300
-        # that differ by an ulp into 20 bins.
+        # that differ by an ulp into 20 bins: too flat, so the section holds
+        # the insufficient-data marker and the run goes on.
         data = tmp_path / "data"
         data.mkdir()
         rows, position = [], 0.0
@@ -748,11 +755,12 @@ class TestFiniteButHugeValues:
         (data / "h.json").write_text(json.dumps(rows))
         proc = _run_module(["analyze", "--session", "h", "--dataset", str(data),
                             "--out", str(tmp_path / "out")])
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("ERROR") and "Too many bins" in lines[0]
-        assert not (tmp_path / "out").exists()
+        assert proc.returncode == 0
+        assert "WARNING" not in proc.stderr and "ERROR" not in proc.stderr
+        sections = json.loads((tmp_path / "out" / "analyze" / "h" / "analysis.json")
+                              .read_text())["sections"]
+        assert sections["sampling_profile"] == {"status": "insufficient data",
+                                                "reason": _TOO_MANY_BINS}
 
     @pytest.mark.parametrize("clock, message", [
         ((-1.7e308, 1.7e308), "position intervals overflow double precision"),
@@ -848,6 +856,56 @@ class TestNearTheDoubleMaximum:
             lines = proc.stderr.splitlines()
             assert [line for line in lines if line.startswith("ERROR")] == lines[-1:]
             assert not (tmp_path / "out").exists()
+
+
+class TestShortSessions:
+    """A session that ``validate`` accepts is never refused by ``analyze``:
+    a section it is too short or too flat for holds the insufficient-data
+    marker."""
+
+    @pytest.mark.parametrize("section, columns", [
+        # Intervals 130.1, 130.1, 130.09999999999997 ms: a few ulps apart.
+        ("sampling_profile", {"backing_track_position": [i * 130.1 for i in range(4)]}),
+        ("delta_profile", {"sync_delta": [130.1, 130.10000000000002] * 20}),
+    ], ids=["clock", "sync_delta"])
+    def test_values_a_few_ulps_apart(self, tmp_path, section, columns):
+        n = len(next(iter(columns.values())))
+        write_rows(tmp_path / "data", "a", n, sync_chorus_id=[1] * n,
+                   hardware_bitalino_eda=[400 + i % 3 for i in range(n)], **columns)
+        proc = _run_module(["analyze", "--session", "a", "--dataset", str(tmp_path / "data"),
+                            "--out", str(tmp_path / "out")])
+        assert proc.returncode == 0
+        assert "WARNING" not in proc.stderr and "ERROR" not in proc.stderr
+        sections = json.loads((tmp_path / "out" / "analyze" / "a" / "analysis.json")
+                              .read_text())["sections"]
+        assert sections[section] == {"status": "insufficient data", "reason": _TOO_MANY_BINS}
+
+    @settings(max_examples=100, deadline=None)
+    @given(start=st.floats(0.0, 3e5), step=st.floats(1.0, 1000.0), data=st.data())
+    def test_a_session_validate_accepts_is_analyzed(self, start, step, data):
+        n = data.draw(st.integers(2, 12))
+        level = st.none() | st.integers(0, 1000)
+        nose = st.none() | st.just((-1.0, -1.0, 0.0)) | st.tuples(
+            st.floats(0.0, 1000.0), st.floats(0.0, 1000.0), st.floats(0.0, 1.0))
+        rows, position = [], start
+        for _ in range(n):
+            row = {"session_id": "s", "backing_track_position": position,
+                   "sync_chorus_id": data.draw(st.sampled_from([0, 1, 2, 999])),
+                   "sync_delta": data.draw(st.none() | st.floats(0.0, 500.0)),
+                   "flow": data.draw(level), "hardware_bitalino_eda": data.draw(level),
+                   **{f"hardware_brainbit_eeg_{ch}": data.draw(level) for ch in EEG_CHANNELS}}
+            point = data.draw(nose)
+            if point is not None:
+                row.update(zip(("hardware_skeleton_nose_x", "hardware_skeleton_nose_y",
+                                "hardware_skeleton_nose_confidence"), point))
+            rows.append(row)
+            position += step
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "data").mkdir()
+            (Path(tmp) / "data" / "s.json").write_text(json.dumps(rows))
+            common = ["--dataset", str(Path(tmp) / "data"), "--out", str(Path(tmp) / "out")]
+            assert main(["validate", *common]) == 0
+            assert main(["analyze", "--session", "s", "--svg", *common]) == 0
 
 
 # Python's own encoding under the C locale is ASCII: no UTF-8 mode and no

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import musicking_lab
+from musicking_lab import errors
 
 PACKAGE = Path(musicking_lab.__file__).parent
 
@@ -145,4 +146,17 @@ def test_errstate_only_in_the_overflow_policy():
             found += [f"{path.name}:{node.lineno}: np.errstate; use _series.refusing"
                       for node in ast.walk(statement) if isinstance(node, ast.Attribute)
                       and node.attr == "errstate" and where not in _ERRSTATE_ALLOWED]
+    assert found == []
+
+
+def test_cli_catches_insufficient_data_as_one_family():
+    # ``analyze`` and ``compare`` turn every ``errors.InsufficientData`` into
+    # a section's marker; naming a subclass in ``cli.py`` would bring back a
+    # per-site list with gaps.
+    family = {name for name, value in vars(errors).items() if isinstance(value, type)
+              and issubclass(value, errors.InsufficientData)
+              and value is not errors.InsufficientData}
+    tree = ast.parse((PACKAGE / "cli.py").read_text(), "cli.py")
+    found = [f"cli.py:{node.lineno}: {name}; catch InsufficientData"
+             for name, node in _references(tree) if name in family]
     assert found == []

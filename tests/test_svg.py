@@ -25,6 +25,11 @@ class TestLineChart:
     def test_empty_series(self):
         assert_valid_svg(line_chart({"a": []}))
 
+    @pytest.mark.filterwarnings("error")
+    def test_span_beyond_the_largest_double(self):
+        out = line_chart({"a": [-1.7e308, 0.0, 1.7e308]})
+        assert 'points="40.00,200.00 360.00,120.00 680.00,40.00"' in out
+
 
 class TestHistogramChart:
     def test_valid(self):
@@ -45,6 +50,12 @@ class TestHeatmap:
     def test_cell_count(self):
         out = heatmap([[1, 2, 3], [4, 5, 6]])
         assert out.count("<rect") == 1 + 6
+
+    @pytest.mark.filterwarnings("error")
+    def test_span_beyond_the_largest_double(self):
+        out = heatmap([[-1.7e308, 1.7e308]])
+        assert 'x="40.00" y="40.00" width="200.00" height="280.00" fill="#ffffff"' in out
+        assert 'x="240.00" y="40.00" width="200.00" height="280.00" fill="#ff0000"' in out
 
 
 # Each chart's bytes, pinned by sha256: the reports stay diffable only while
