@@ -10,7 +10,6 @@ crosses one.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -123,24 +122,27 @@ def rolling_stat(values: Sequence[float | None], window_samples: int,
     output[i] covers values[i - w + 1 .. i]; the first w - 1 slots are null.
     Nulls inside a window are skipped; a window without enough non-null
     values (1 for mean, 2 for variance) yields null.
+
+    Raises:
+        NonFinite: An infinite value, or a window's statistic that overflows.
     """
     if window_samples < 1:
         raise ValueError(f"window_samples must be >= 1, got {window_samples}")
     if kind not in ("mean", "variance"):
         raise ValueError(f"kind must be 'mean' or 'variance', got {kind!r}")
     arr = as_array(values)
+    if np.isinf(arr).any():
+        raise NonFinite(f"rolling {kind} of an infinite value")
     if arr.size < window_samples:
         return [None] * arr.size
     windows = sliding_window_view(arr, window_samples)
-    valid = (~np.isnan(windows)).sum(axis=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        if kind == "mean":
-            stats = np.nanmean(windows, axis=1)
-            enough = valid >= 1
-        else:
-            stats = np.nanvar(windows, axis=1, ddof=1)
-            enough = valid >= 2
+    enough = (~np.isnan(windows)).sum(axis=1) >= (1 if kind == "mean" else 2)
+    # Indexing copies every window, so skip it when each one has enough values.
+    picked = windows if enough.all() else windows[enough]
+    stats = np.full(enough.size, np.nan)
+    with refusing(f"rolling {kind} overflows double precision"):
+        stats[enough] = (np.nanmean(picked, axis=1) if kind == "mean"
+                         else np.nanvar(picked, axis=1, ddof=1))
     return [None] * (window_samples - 1) + np.where(enough, stats, None).tolist()
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
@@ -22,6 +23,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import InsufficientData, MusickingError, NonFinite, TooFewSessions, UnknownSession
 from .ingest import DatasetWalk, find_session, load_bundled_beat_grid, parse_beat_grid
@@ -42,9 +45,6 @@ DATASET_ENV_VAR = "MUSICKING_LAB_DATASET"
 TRAJECTORY_HEATMAP_PARTS = ("l_wrist", "r_wrist", "l_ear")
 OCCUPANCY_GRID_SHAPE = (20, 20)  # (width, height) cells
 TOP_CORRELATED_SESSIONS = 5
-
-INSUFFICIENT = {"status": "insufficient data"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -262,7 +262,7 @@ def _or_insufficient(compute):
     try:
         return compute()
     except InsufficientData as exc:
-        return dict(INSUFFICIENT, reason=str(exc))
+        return {"status": "insufficient data", "reason": str(exc)}
 
 
 def _delta_payload(profile) -> dict:
@@ -276,47 +276,36 @@ def cmd_analyze(config: RunConfig, session_id: str) -> int:
     session = _find_session(config, session_id)
     grid = _load_grid(config)
 
-    sampling = _or_insufficient(lambda: asdict(timing.infer_sampling_rate(session)))
-    rate = sampling.get("rate_hz")
+    profile = functools.cache(lambda: timing.infer_sampling_rate(session))
     eda = _column(session, "eda")
+    eda_summary = functools.cache(lambda: analytics.describe(eda))
     eeg = {f"eeg_{ch}": _column(session, f"eeg_{ch}") for ch in EEG_CHANNELS}
-    eda_summary = _or_insufficient(lambda: analytics.describe(eda).as_dict())
 
-    if rate is not None:
-        window = analytics.seconds_to_samples(config.window_seconds, rate)
-        rolling = {
-            "window_samples": window,
-            "eda_mean": analytics.rolling_stat(eda, window, "mean"),
-            **{f"{name}_variance": analytics.rolling_stat(values, window, "variance")
-               for name, values in eeg.items()},
-        }
-        if "std" in eda_summary:
-            peak_section = asdict(analytics.detect_peaks(
-                eda, min_distance_samples=analytics.seconds_to_samples(1.0, rate),
-                min_prominence=eda_summary["std"]))
-        else:
-            peak_section = dict(INSUFFICIENT, reason="no EDA values")
-    else:
-        rolling = peak_section = dict(INSUFFICIENT, reason="sampling rate unavailable")
+    def sampling() -> dict:
+        fields = asdict(profile())  # refuses intervals that overflow, before np.diff warns
+        intervals = np.diff(_column(session, "backing_track_position"))
+        return dict(fields, interval_histogram=_or_insufficient(
+            lambda: analytics.histogram(intervals, 20)))
+
+    def rolling() -> dict:
+        window = analytics.seconds_to_samples(config.window_seconds, profile().rate_hz)
+        return {"window_samples": window, "eda_mean": analytics.rolling_stat(eda, window, "mean"),
+                **{f"{name}_variance": analytics.rolling_stat(values, window, "variance")
+                   for name, values in eeg.items()}}
+
+    def peaks() -> dict:
+        min_distance = analytics.seconds_to_samples(1.0, profile().rate_hz)
+        return asdict(analytics.detect_peaks(eda, min_distance_samples=min_distance,
+                                             min_prominence=eda_summary().std))
 
     scan = quality.sentinel_scan(session, config.confidence_threshold)
     mean_x, mean_y = analytics.mean_trajectory(session, SKELETON_PARTS)
-
-    occupancy = {}
-    for part in TRAJECTORY_HEATMAP_PARTS:
-        try:
-            occupancy[part] = analytics.occupancy_grid(
-                _column(session, f"{part}_x"), _column(session, f"{part}_y"),
-                *OCCUPANCY_GRID_SHAPE).tolist()
-        except InsufficientData:
-            occupancy[part] = dict(INSUFFICIENT, reason="all samples sentinel")
-
     bundle = {
         "session_id": session.session_id,
         "record_count": len(session),
         "config": config.as_dict(),
         "sections": {
-            "sampling_profile": sampling,
+            "sampling_profile": _or_insufficient(sampling),
             "delta_profile": _or_insufficient(
                 lambda: _delta_payload(timing.delta_profile(session, iqr_k=config.iqr_k))),
             "chorus_segments": _or_insufficient(
@@ -324,16 +313,18 @@ def cmd_analyze(config: RunConfig, session_id: str) -> int:
             "summaries": {
                 "flow": _or_insufficient(
                     lambda: analytics.describe(_column(session, "flow")).as_dict()),
-                "eda": eda_summary},
-            "rolling_tracks": rolling,
-            "eda_peaks": peak_section,
+                "eda": _or_insufficient(lambda: eda_summary().as_dict())},
+            "rolling_tracks": _or_insufficient(rolling),
+            "eda_peaks": _or_insufficient(peaks),
             "eeg_correlation": analytics.correlation_matrix(eeg).as_dict(),
             "skeleton_quality": {
                 "scan": {name: asdict(c) for name, c in scan.items()},
                 "reliable_columns": quality.reliable_columns(scan),
             },
             "mean_trajectory": {"mean_x": mean_x, "mean_y": mean_y},
-            "occupancy_grids": occupancy,
+            "occupancy_grids": {part: _or_insufficient(lambda: analytics.occupancy_grid(
+                _column(session, f"{part}_x"), _column(session, f"{part}_y"),
+                *OCCUPANCY_GRID_SHAPE).tolist()) for part in TRAJECTORY_HEATMAP_PARTS},
         },
     }
     out = f"analyze/{session_id}"
@@ -355,7 +346,7 @@ def _analyze_svgs(session: Session, bundle: dict):
     eda = column_values(session, "eda")
     flow = column_values(session, "flow")
     tracks = {"eda": eda}
-    if isinstance(sections["rolling_tracks"], dict) and "eda_mean" in sections["rolling_tracks"]:
+    if "eda_mean" in sections["rolling_tracks"]:
         tracks["eda rolling mean"] = sections["rolling_tracks"]["eda_mean"]
     yield "eda_timeseries.svg", svg.line_chart(tracks, title="EDA")
     yield "flow_timeseries.svg", svg.line_chart({"flow": flow}, title="flow")
@@ -394,13 +385,20 @@ def _overlay(session: Session) -> list[dict]:
     } for seg in segments if seg.performance]
 
 
+def _box(summary, eda, iqr_k: float) -> dict:
+    from . import quality
+    outliers, lower, upper = quality._iqr_mask(eda, iqr_k)
+    return {"median": summary.median, "q25": summary.q25, "q75": summary.q75,
+            "lower_fence": lower, "upper_fence": upper, "outlier_count": int(outliers.sum())}
+
+
 def cmd_compare(config: RunConfig) -> int:
     """Cross-session comparison: summary table, box stats, ANOVA, overlays.
 
     Sessions stream through one at a time in file-name order; only what the
     outputs need is kept, and the outputs are ordered by session id.
     """
-    from . import analytics, quality, stats
+    from . import analytics, stats
     session_count = 0
     summary_rows = []
     box_stats = {}
@@ -418,14 +416,7 @@ def cmd_compare(config: RunConfig) -> int:
         summary_rows.append([session_id, summary.count, summary.mean, summary.std,
                              summary.min, summary.q25, summary.median, summary.q75,
                              summary.max])
-        try:
-            outliers, lower, upper = quality._iqr_mask(eda, config.iqr_k)
-            box_stats[session_id] = {
-                "median": summary.median, "q25": summary.q25, "q75": summary.q75,
-                "lower_fence": lower, "upper_fence": upper,
-                "outlier_count": int(outliers.sum())}
-        except InsufficientData:
-            box_stats[session_id] = dict(INSUFFICIENT)
+        box_stats[session_id] = _or_insufficient(lambda: _box(summary, eda, config.iqr_k))
         groups[session_id] = eda
         flow = _performance_values(session, "flow", config.exclude_nonperformance)
         try:

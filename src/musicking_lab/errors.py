@@ -105,6 +105,10 @@ class DegenerateVariance(InsufficientData):
     """All observations identical within every group; F undefined."""
 
 
+class NoConvergence(MusickingError):
+    """An iterative numeric routine did not converge within its iteration limit."""
+
+
 # -- clustering -----------------------------------------------------------
 
 class TooFewRows(MusickingError):

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ._series import as_array, nonnull, refusing
-from .errors import DegenerateVariance, NonFinite, TooFewGroups
+from .errors import DegenerateVariance, NoConvergence, NonFinite, TooFewGroups
 
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 1000
@@ -63,7 +63,7 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
             h *= delta
         if abs(delta - 1.0) < _BETA_TOL:
             return h
-    raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
+    raise NoConvergence(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
 
 def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
@@ -84,7 +84,8 @@ def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
+    """I_x(a, b) for a, b > 0 and x in [0, 1]; raises NoConvergence where
+    the continued fraction does not converge (a = b = 1e7)."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must be in [0, 1], got {x}")
     return _incomplete_beta(a, b, x, 1.0 - x)

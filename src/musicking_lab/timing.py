@@ -44,7 +44,6 @@ class SamplingProfile:
     median_interval_ms: float
     rate_hz: float
     nyquist_hz: float
-    interval_histogram: tuple[tuple[float, float, int], ...]
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class MusicalPosition:
     offset_s: float
 
 
-def infer_sampling_rate(session: Session, hist_bins: int = 20) -> SamplingProfile:
+def infer_sampling_rate(session: Session) -> SamplingProfile:
     """Derive the effective sampling rate from position diffs.
 
     rate_hz = 1000 / mean interval (ms); nyquist_hz is exactly half of it.
@@ -108,7 +107,6 @@ def infer_sampling_rate(session: Session, hist_bins: int = 20) -> SamplingProfil
         median_interval_ms=float(median(intervals)),
         rate_hz=rate,
         nyquist_hz=rate / 2.0,
-        interval_histogram=tuple(analytics.histogram(intervals, hist_bins)),
     )
 
 

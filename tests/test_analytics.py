@@ -178,12 +178,21 @@ class TestRollingStat:
         assert rolling_stat([1.0, 2.0], 5, "mean") == [None, None]
 
     def test_nan_statistic_is_not_null(self):
-        # enough values, but inf - inf: the statistic is NaN, not missing
-        mean = rolling_stat([math.inf, -math.inf, 1.0], 2, "mean")
-        assert mean[0] is None and math.isnan(mean[1]) and mean[2] == -math.inf
-        variance = rolling_stat([1.0, math.inf, None], 2, "variance")
-        assert variance[0] is None and math.isnan(variance[1]) and variance[2] is None
-        assert all(v is None or type(v) is float for v in mean + variance)
+        # An infinite value is refused, as describe and histogram refuse it,
+        # so no window's statistic is NaN (inf - inf) or infinite.
+        for values, kind in (([math.inf, -math.inf, 1.0], "mean"),
+                             ([1.0, math.inf, None], "variance"),
+                             ([-math.inf], "mean")):
+            with pytest.raises(NonFinite, match=f"^rolling {kind} of an infinite value$"):
+                rolling_stat(values, 2, kind)
+
+    @pytest.mark.parametrize("kind, values", [
+        ("variance", [1e300, 5e300, 1e300, 5e300]),
+        ("mean", [1.7e308, 1.7e308, None]),
+    ])
+    def test_overflow_is_refused(self, kind, values):
+        with pytest.raises(NonFinite, match=f"^rolling {kind} overflows double precision$"):
+            rolling_stat(values, 2, kind)
 
     @given(st.lists(finite, min_size=1, max_size=40), st.integers(1, 6))
     def test_matches_naive_windows(self, values, w):

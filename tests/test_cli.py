@@ -17,6 +17,7 @@ from musicking_lab.cli import (
     _COMMANDS,
     _SETTINGS,
     RunConfig,
+    _write,
     build_parser,
     cmd_analyze,
     cmd_cluster,
@@ -388,14 +389,16 @@ class TestCmdAnalyze:
             bundle = tmp_path / "out" / "analyze" / session_id / "analysis.json"
             return json.loads(bundle.read_text())["sections"]
 
+        # Each section's reason is the message of the error that stopped it.
         noeda = sections("noeda")
-        assert noeda["summaries"]["eda"]["status"] == "insufficient data"
-        assert noeda["eda_peaks"] == {"status": "insufficient data", "reason": "no EDA values"}
+        no_values = {"status": "insufficient data",
+                     "reason": "describe needs at least one non-null value"}
+        assert noeda["summaries"]["eda"] == noeda["eda_peaks"] == no_values
         assert noeda["rolling_tracks"]["window_samples"] >= 1
         single = sections("single")
-        unavailable = {"status": "insufficient data", "reason": "sampling rate unavailable"}
-        assert single["sampling_profile"]["status"] == "insufficient data"
-        assert single["rolling_tracks"] == single["eda_peaks"] == unavailable
+        one_record = {"status": "insufficient data", "reason": "sampling rate needs >= 2 records"}
+        assert single["sampling_profile"] == single["rolling_tracks"] == single["eda_peaks"] \
+            == one_record
 
     def test_missing_grid_exit_one(self, tmp_path, grid):
         ids = write_corpus(tmp_path / "data", grid, count=1)
@@ -454,7 +457,8 @@ class TestCmdCompare:
         lines = (out / "eda_summary.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["full", "nochorus", "single"]
         box = json.loads((out / "boxplot.json").read_text())
-        assert box["single"] == {"status": "insufficient data"}
+        assert box["single"] == {"status": "insufficient data",
+                                 "reason": "IQR needs >= 4 non-null values, got 1"}
         assert "median" in box["full"]
         assert json.loads((out / "anova.json").read_text()) == {
             "status": "insufficient data", "reason": "group 2 has 1 non-null values, needs >= 2"}
@@ -689,15 +693,14 @@ _TOO_MANY_BINS = ("histogram: Too many bins for data range. "
 
 
 class TestFiniteButHugeValues:
-    # describe refuses the EDA sums, before ANOVA and the encoder.  The EEG
-    # rolling variance overflows where all-null windows are ordinary, so
-    # there the encoder refuses analysis.json, before alignment.csv exists.
+    # describe refuses the EDA sums, before ANOVA and the encoder, and
+    # rolling_stat refuses the EEG variance where it overflows.
     @pytest.mark.parametrize("command, column, message", [
         (["compare"], "hardware_bitalino_eda", "describe overflows double precision"),
         (["analyze", "--session", "a"], "hardware_bitalino_eda",
          "describe overflows double precision"),
         (["analyze", "--session", "a", "--window-seconds", "1"], "hardware_brainbit_eeg_t3",
-         "analysis.json: Out of range float values"),
+         "rolling variance overflows double precision"),
     ], ids=["compare", "analyze", "analyze EEG variance"])
     def test_exit_one_with_one_line(self, tmp_path, command, column, message):
         write_huge_corpus(tmp_path / "data", column)
@@ -743,8 +746,9 @@ class TestFiniteButHugeValues:
 
     def test_analyze_on_intervals_a_few_ulps_apart(self, tmp_path):
         # The sampling-interval histogram cannot split intervals near 1e300
-        # that differ by an ulp into 20 bins: too flat, so the section holds
-        # the insufficient-data marker and the run goes on.
+        # that differ by an ulp into 20 bins: too flat, so it holds the
+        # insufficient-data marker.  The rate of 1e-297 Hz stays, and gives
+        # one-sample windows.
         data = tmp_path / "data"
         data.mkdir()
         rows, position = [], 0.0
@@ -759,8 +763,12 @@ class TestFiniteButHugeValues:
         assert "WARNING" not in proc.stderr and "ERROR" not in proc.stderr
         sections = json.loads((tmp_path / "out" / "analyze" / "h" / "analysis.json")
                               .read_text())["sections"]
-        assert sections["sampling_profile"] == {"status": "insufficient data",
-                                                "reason": _TOO_MANY_BINS}
+        profile = sections["sampling_profile"]
+        assert profile["rate_hz"] == 1000 / profile["mean_interval_ms"]
+        assert profile["interval_histogram"] == {"status": "insufficient data",
+                                                 "reason": _TOO_MANY_BINS}
+        assert sections["rolling_tracks"]["window_samples"] == 1
+        assert sections["eda_peaks"]["min_distance_samples"] == 1
 
     @pytest.mark.parametrize("clock, message", [
         ((-1.7e308, 1.7e308), "position intervals overflow double precision"),
@@ -807,6 +815,13 @@ class TestFiniteButHugeValues:
         argv = ["--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
         assert main(["compare", *argv]) == 1
         assert main(["analyze", *argv, "--session", "b"]) == 1
+
+    def test_writer_refuses_json_before_writing_anything(self, tmp_path):
+        # JSON goes first, so a CSV or SVG named before it is never written.
+        with pytest.raises(NonFinite, match="c.json"):
+            _write(str(tmp_path / "out"), {"a.csv": [["x"], [1]], "b.svg": "<svg/>",
+                                           "c.json": {"x": float("inf")}})
+        assert not (tmp_path / "out").exists()
 
     def test_write_json_names_the_file(self, tmp_path):
         with pytest.raises(NonFinite, match="bad.json"):
@@ -858,17 +873,30 @@ class TestNearTheDoubleMaximum:
             assert not (tmp_path / "out").exists()
 
 
+def _markers(payload):
+    """Each insufficient-data marker anywhere in a decoded JSON payload."""
+    if isinstance(payload, dict):
+        if payload.get("status") == "insufficient data":
+            yield payload
+        for value in payload.values():
+            yield from _markers(value)
+    elif isinstance(payload, list):
+        for value in payload:
+            yield from _markers(value)
+
+
 class TestShortSessions:
     """A session that ``validate`` accepts is never refused by ``analyze``:
     a section it is too short or too flat for holds the insufficient-data
     marker."""
 
-    @pytest.mark.parametrize("section, columns", [
+    @pytest.mark.parametrize("path, columns", [
         # Intervals 130.1, 130.1, 130.09999999999997 ms: a few ulps apart.
-        ("sampling_profile", {"backing_track_position": [i * 130.1 for i in range(4)]}),
-        ("delta_profile", {"sync_delta": [130.1, 130.10000000000002] * 20}),
+        (("sampling_profile", "interval_histogram"),
+         {"backing_track_position": [i * 130.1 for i in range(4)]}),
+        (("delta_profile",), {"sync_delta": [130.1, 130.10000000000002] * 20}),
     ], ids=["clock", "sync_delta"])
-    def test_values_a_few_ulps_apart(self, tmp_path, section, columns):
+    def test_values_a_few_ulps_apart(self, tmp_path, path, columns):
         n = len(next(iter(columns.values())))
         write_rows(tmp_path / "data", "a", n, sync_chorus_id=[1] * n,
                    hardware_bitalino_eda=[400 + i % 3 for i in range(n)], **columns)
@@ -878,7 +906,14 @@ class TestShortSessions:
         assert "WARNING" not in proc.stderr and "ERROR" not in proc.stderr
         sections = json.loads((tmp_path / "out" / "analyze" / "a" / "analysis.json")
                               .read_text())["sections"]
-        assert sections[section] == {"status": "insufficient data", "reason": _TOO_MANY_BINS}
+        section = sections
+        for key in path:
+            section = section[key]
+        assert section == {"status": "insufficient data", "reason": _TOO_MANY_BINS}
+        # Only the histogram is lost: the rate and what needs it stay.
+        assert sections["sampling_profile"]["rate_hz"] > 0
+        assert "window_samples" in sections["rolling_tracks"]
+        assert "indices" in sections["eda_peaks"]
 
     @settings(max_examples=100, deadline=None)
     @given(start=st.floats(0.0, 3e5), step=st.floats(1.0, 1000.0), data=st.data())
@@ -906,6 +941,10 @@ class TestShortSessions:
             common = ["--dataset", str(Path(tmp) / "data"), "--out", str(Path(tmp) / "out")]
             assert main(["validate", *common]) == 0
             assert main(["analyze", "--session", "s", "--svg", *common]) == 0
+            sections = json.loads((Path(tmp) / "out" / "analyze" / "s" / "analysis.json")
+                                  .read_text())["sections"]
+        assert sections["sampling_profile"]["rate_hz"] > 0
+        assert all(marker["reason"] for marker in _markers(sections))
 
 
 # Python's own encoding under the C locale is ASCII: no UTF-8 mode and no

@@ -160,3 +160,31 @@ def test_cli_catches_insufficient_data_as_one_family():
     found = [f"cli.py:{node.lineno}: {name}; catch InsufficientData"
              for name, node in _references(tree) if name in family]
     assert found == []
+
+
+def test_only_or_insufficient_builds_a_marker():
+    # Every insufficient-data marker in ``cli.py`` comes from
+    # ``_or_insufficient``, so its reason is the message of the error.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(), "cli.py")
+    inside = {id(node) for function in tree.body if isinstance(function, ast.FunctionDef)
+              and function.name == "_or_insufficient" for node in ast.walk(function)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and node.id == "INSUFFICIENT":
+            found.append(f"cli.py:{node.lineno}: INSUFFICIENT; use _or_insufficient")
+        elif isinstance(node, ast.Dict) and any(isinstance(key, ast.Constant)
+                                                and key.value == "status" for key in node.keys):
+            found.append(f"cli.py:{node.lineno}: a status dict; use _or_insufficient")
+    assert found == []
+
+
+def test_no_warning_filters():
+    # A numpy overflow is refused through ``_series.refusing``; a warning
+    # filter would hide it instead.
+    found = [f"{path.name}:{node.lineno}: {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for name, node in _references(ast.parse(path.read_text(), str(path)))
+             if name in ("catch_warnings", "simplefilter")]
+    assert found == []

@@ -9,7 +9,14 @@ import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import oracle_anova_f
-from musicking_lab.errors import DegenerateVariance, NonFinite, TooFewGroups
+from musicking_lab.errors import (
+    DegenerateVariance,
+    InsufficientData,
+    MusickingError,
+    NoConvergence,
+    NonFinite,
+    TooFewGroups,
+)
 from musicking_lab.stats import anova_oneway, f_survival, regularized_incomplete_beta
 
 
@@ -34,6 +41,13 @@ class TestIncompleteBeta:
     def test_domain(self):
         with pytest.raises(ValueError):
             regularized_incomplete_beta(1.0, 1.0, 1.5)
+
+    def test_no_convergence_is_a_refusal(self):
+        # The continued fraction needs more than its 1,000 iterations here.
+        with pytest.raises(NoConvergence, match="^incomplete beta did not converge") as exc:
+            regularized_incomplete_beta(1e7, 1e7, 0.5)
+        assert issubclass(exc.type, MusickingError)
+        assert not issubclass(exc.type, InsufficientData)
 
 
 # Below this survival probability scipy's F.sf itself drifts past 1e-9

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from helpers import (
     performance_session,
     session_of,
 )
+from musicking_lab.cli import main
 from musicking_lab.cluster import bar_features
 from musicking_lab.errors import (
     InvariantError,
@@ -22,7 +24,7 @@ from musicking_lab.errors import (
     TooFewRecords,
     UnknownColumn,
 )
-from musicking_lab.ingest import load_bundled_beat_grid
+from musicking_lab.ingest import load_bundled_beat_grid, serialize_session
 from musicking_lab.model import BeatGrid
 from musicking_lab.timing import (
     PER_BAR_STATS,
@@ -93,9 +95,17 @@ class TestSamplingRate:
             infer_sampling_rate(session_of(positions))
         assert exc.type is InvariantError
 
-    def test_histogram_counts_sum_to_intervals(self):
-        profile = infer_sampling_rate(session_of([0, 125, 250, 375, 500]))
-        assert sum(c for _, _, c in profile.interval_histogram) == 4
+    def test_histogram_counts_sum_to_intervals(self, tmp_path):
+        # analyze bins the intervals next to the rate in its sampling_profile.
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "s.json").write_text(
+            serialize_session(session_of([0, 125, 250, 375, 500])))
+        assert main(["analyze", "--session", "s", "--dataset", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "out")]) == 0
+        profile = json.loads((tmp_path / "out" / "analyze" / "s" / "analysis.json")
+                             .read_text())["sections"]["sampling_profile"]
+        assert profile["rate_hz"] == 8.0
+        assert sum(c for _, _, c in profile["interval_histogram"]) == 4
 
 
 class TestDeltaProfile:
