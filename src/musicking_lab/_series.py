@@ -20,13 +20,13 @@ def as_array(values: Sequence[float | None]) -> np.ndarray:
 
 
 @contextmanager
-def refusing(message: str, error: type[Exception] = NonFinite):
-    """Refuse a numpy overflow, division by zero or invalid operation as ``error(message)``."""
+def refusing(message: str):
+    """Refuse a numpy overflow, division by zero or invalid operation as ``NonFinite(message)``."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             yield
     except FloatingPointError:
-        raise error(message) from None
+        raise NonFinite(message) from None
 
 
 def nonnull(arr: np.ndarray) -> np.ndarray:

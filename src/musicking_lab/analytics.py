@@ -25,7 +25,7 @@ from .errors import (
     TooFewPairs,
     UnknownPart,
 )
-from .model import SENTINEL, SKELETON_PARTS, Session, _column
+from .model import SENTINEL, SKELETON_PARTS, Session, _as_list, _column
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def rolling_stat(values: Sequence[float | None], window_samples: int,
     with refusing(f"rolling {kind} overflows double precision"):
         stats[enough] = (np.nanmean(picked, axis=1) if kind == "mean"
                          else np.nanvar(picked, axis=1, ddof=1))
-    return [None] * (window_samples - 1) + np.where(enough, stats, None).tolist()
+    return [None] * (window_samples - 1) + _as_list(stats)
 
 
 def seconds_to_samples(seconds: float, rate_hz: float) -> int:
@@ -324,8 +324,7 @@ def correlation_matrix(columns: Mapping[str, Sequence[float | None]],
     i, j = np.triu_indices(len(names), 1)
     cells = np.eye(len(names))
     cells[i, j] = cells[j, i] = _pairwise(stacked[i], stacked[j], method)[0]
-    return CorrelationMatrix(names=names, values=tuple(
-        tuple(None if v != v else v for v in row) for row in cells.tolist()))
+    return CorrelationMatrix(names=names, values=tuple(tuple(_as_list(row)) for row in cells))
 
 
 def windowed_correlation(x: Sequence[float | None], y: Sequence[float | None],
@@ -346,7 +345,7 @@ def windowed_correlation(x: Sequence[float | None], y: Sequence[float | None],
         return []
     r, _ = _pairwise(*(sliding_window_view(a, window_samples)[::step_samples]
                        for a in (ax, ay)), method)
-    return [(k * step_samples, None if v != v else v) for k, v in enumerate(r.tolist())]
+    return [(k * step_samples, v) for k, v in enumerate(_as_list(r))]
 
 
 def mean_trajectory(session: Session, parts: Sequence[str],
@@ -375,9 +374,8 @@ def mean_trajectory(session: Session, parts: Sequence[str],
             sum_x += np.where(valid, x, 0.0)
             sum_y += np.where(valid, y, 0.0)
             count += valid
-        none, count = (count == 0).tolist(), np.maximum(count, 1)  # so no 0 / 0
-        return ([None if skip else m for m, skip in zip((sum_x / count).tolist(), none)],
-                [None if skip else m for m, skip in zip((sum_y / count).tolist(), none)])
+        count[count == 0] = np.nan  # a record with no valid part: null, not 0 / 0
+        return _as_list(sum_x / count), _as_list(sum_y / count)
 
 
 def occupancy_grid(xs: Sequence[float | None], ys: Sequence[float | None],

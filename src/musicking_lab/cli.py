@@ -29,13 +29,12 @@ import numpy as np
 from .errors import InsufficientData, MusickingError, NonFinite, TooFewSessions, UnknownSession
 from .ingest import DatasetWalk, find_session, load_bundled_beat_grid, parse_beat_grid
 from .model import (
-    NONPERFORMANCE_CHORUS_IDS,
     SKELETON_PARTS,
     BeatGrid,
     EEG_CHANNELS,
     Session,
     _column,
-    _isin,
+    _in_performance,
     column_values,
 )
 
@@ -221,13 +220,6 @@ def _find_session(config: RunConfig, session_id: str) -> Session:
     return session
 
 
-def _performance_values(session: Session, column: str, exclude_nonperformance: bool):
-    values = _column(session, column)
-    if not exclude_nonperformance:
-        return values
-    return values[~_isin(_column(session, "chorus_id"), NONPERFORMANCE_CHORUS_IDS)]
-
-
 # -- validate ----------------------------------------------------------------
 
 def cmd_validate(config: RunConfig) -> int:
@@ -408,7 +400,8 @@ def cmd_compare(config: RunConfig) -> int:
     for session in DatasetWalk(config.dataset_dir):
         session_count += 1
         session_id = session.session_id
-        eda = _performance_values(session, "eda", config.exclude_nonperformance)
+        keep = _in_performance(_column(session, "chorus_id")) | (not config.exclude_nonperformance)
+        eda, flow = (_column(session, name)[keep] for name in ("eda", "flow"))
         try:
             summary = analytics.describe(eda)
         except InsufficientData:
@@ -418,7 +411,6 @@ def cmd_compare(config: RunConfig) -> int:
                              summary.max])
         box_stats[session_id] = _or_insufficient(lambda: _box(summary, eda, config.iqr_k))
         groups[session_id] = eda
-        flow = _performance_values(session, "flow", config.exclude_nonperformance)
         try:
             correlations[session_id] = analytics.correlate(eda, flow)
         except InsufficientData:

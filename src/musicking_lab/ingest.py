@@ -36,9 +36,9 @@ from .errors import MalformedDocument, MusickingError, SchemaError
 from .model import (
     _COLUMNS,
     _INTEGER_FIELDS,
+    _KEYPOINT_KEYS,
+    _KEYS,
     _SCALAR_FIELDS,
-    SKELETON_AXES,
-    SKELETON_PARTS,
     BeatGrid,
     Session,
     _float_column,
@@ -48,13 +48,6 @@ from .model import (
 
 SESSION_FILE_SUFFIX = ".json"
 
-# The canonical key of each short name, from the one column table.
-_KEYS = {name: key for key, name in _COLUMNS.items()}
-# Per skeleton part: its name, its error label and its (x, y, confidence) keys.
-_KEYPOINT_KEYS = tuple(
-    (part, f"hardware_skeleton_{part}",
-     tuple(_KEYS[f"{part}_{axis}"] for axis in SKELETON_AXES))
-    for part in SKELETON_PARTS)
 _ROW = itemgetter(*_COLUMNS)  # a row's canonical values, in column order
 
 

@@ -12,17 +12,20 @@ batch: one map from short column name to a read-only float64 array with
 NaN for null, for all 45 canonical columns (the scalar fields and each
 skeleton part's x, y and confidence), and, under its index, the extras
 mapping of each record that has one, in that record's key order.  One table,
-``_COLUMNS``, maps each canonical on-disk name to its short name; ingest
-and the column lookup derive from it.  A skeleton part is present in a
-record when any of its three columns is not NaN.  ``Session.records`` is a
-view of ``Record`` objects built from the columns on first use.  A session
-built in code from records must hold numbers or ``None`` in every canonical
-field and a number in every master clock, name only known skeleton parts
-and give each keypoint all three axes or none, as ingest requires of a
-file; anything else raises ``InvariantError`` naming the record.  A number
-is an ``int`` or a ``float`` other than NaN (a null is ``None``), as
-``validate_record`` counts them: a numpy float64 is a float, a numpy
-integer is not.  Sessions pickle and copy by their columns and extras.
+``_COLUMNS``, maps each canonical on-disk name to its short name; ingest,
+the column lookup and the sentinel scan derive from it.  This module alone
+also decides which records are the performance (``_in_performance``) and
+turns NaN into ``None`` in every list the package returns (``_as_list``).
+A skeleton part is present in a record when any of its three columns is
+not NaN.  ``Session.records`` is a view of ``Record`` objects built from
+the columns on first use.  A session built in code from records must hold
+numbers or ``None`` in every canonical field and a number in every master
+clock, name only known skeleton parts and give each keypoint all three
+axes or none, as ingest requires of a file; anything else raises
+``InvariantError`` naming the record.  A number is an ``int`` or a
+``float`` other than NaN (a null is ``None``), as ``validate_record``
+counts them: a numpy float64 is a float, a numpy integer is not.
+Sessions pickle and copy by their columns and extras.
 
 Validation is data, not control flow: ``validate_record`` and
 ``validate_session`` return lists of human-readable violation strings and
@@ -63,9 +66,9 @@ SKELETON_AXES: tuple[str, ...] = ("x", "y", "confidence")
 EEG_CHANNELS: tuple[str, ...] = ("t3", "t4", "o1", "o2")
 
 # Valid chorus labels: 0 = pre-performance, 1..5 = playthroughs,
-# 999 = post-performance tail.
+# 999 = post-performance tail.  Every other id, and a null one, counts as
+# inside the performance (see ``_in_performance``).
 CHORUS_IDS: frozenset[int] = frozenset({0, 1, 2, 3, 4, 5, 999})
-PERFORMANCE_CHORUS_IDS: frozenset[int] = frozenset({1, 2, 3, 4, 5})
 NONPERFORMANCE_CHORUS_IDS: tuple[int, ...] = (0, 999)
 
 # Coordinate sentinel used by the pose detector when a part is not found.
@@ -127,6 +130,13 @@ _COLUMNS: dict[str, str] = {
        for part in SKELETON_PARTS for axis in SKELETON_AXES},
 }
 _ALIASES: dict[str, str] = {**_COLUMNS, **{name: name for name in _COLUMNS.values()}}
+_KEYS: dict[str, str] = {name: key for key, name in _COLUMNS.items()}  # short -> on-disk
+# Per skeleton part: its name, the prefix its on-disk keys share (ingest's
+# label for it) and its (x, y, confidence) keys.
+_KEYPOINT_KEYS = tuple(
+    (part, _KEYS[f"{part}_x"].removesuffix("_x"),
+     tuple(_KEYS[f"{part}_{axis}"] for axis in SKELETON_AXES))
+    for part in SKELETON_PARTS)
 
 # Scalar Record fields (all but keypoints and extras) in field order, the
 # master clock first; the integer ones read back as int.
@@ -150,6 +160,12 @@ def _incomplete(nulls: Sequence[np.ndarray]) -> np.ndarray:
 def _isin(values: np.ndarray, labels) -> np.ndarray:
     """``np.isin(values, labels)`` without its ``numpy.ma`` import on empty ``values``."""
     return np.logical_or.reduce([values == label for label in labels])
+
+
+def _in_performance(chorus: np.ndarray) -> np.ndarray:
+    """The mask of the chorus ids inside the performance: every id but the
+    pre- and post-performance 0 and 999; a null id counts as inside."""
+    return ~_isin(chorus, NONPERFORMANCE_CHORUS_IDS)
 
 
 def _not_increasing(values: np.ndarray) -> np.ndarray:
@@ -193,9 +209,9 @@ def _to_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _as_list(arr: np.ndarray, integer: bool) -> list:
-    """A column as Python values: None for NaN, int for an integral value
-    of an integer field."""
+def _as_list(arr: np.ndarray, integer: bool = False) -> list:
+    """An array as Python values: None for NaN, int for an integral value
+    of an integer field.  Every list the package returns nulls NaN here."""
     if integer:
         return [None if v != v else int(v) if v.is_integer() else v for v in arr.tolist()]
     return [None if v != v else v for v in arr.tolist()]

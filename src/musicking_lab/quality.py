@@ -16,8 +16,7 @@ import numpy as np
 from ._series import as_array, median, nonnull, percentile, refusing, runs
 from .errors import AllMissing, NonFinite, TooFewValues
 from .model import (
-    SKELETON_AXES,
-    SKELETON_PARTS,
+    _KEYPOINT_KEYS,
     ColumnQuality,
     QualityReport,
     Session,
@@ -92,12 +91,14 @@ def impute_median(values: Sequence[float | None]) -> list[float | None]:
 
     Raises:
         AllMissing: No non-null value to take a median of.
+        NonFinite: The median overflows double precision.
     """
     arr = as_array(values)
     clean = nonnull(arr)
     if clean.size == 0:
         raise AllMissing("cannot impute an all-null series")
-    middle = float(median(clean))
+    with refusing("median imputation overflows double precision"):
+        middle = float(median(clean))
     return np.where(np.isnan(arr), middle, arr).tolist()
 
 
@@ -106,8 +107,13 @@ def interpolate_gaps(values: Sequence[float | None], max_gap: int) -> list[float
 
     Longer runs and runs touching either edge stay null: extrapolating or
     bridging long gaps would bias the series, so those stay visible.
+
+    Raises:
+        NonFinite: An infinite value, or a fill that overflows double precision.
     """
     arr = as_array(values)
+    if np.isinf(arr).any():
+        raise NonFinite("gap interpolation of an infinite value")
     out = arr.copy()
     starts, ends = runs(np.isnan(arr))
     size = ends - starts
@@ -116,8 +122,9 @@ def interpolate_gaps(values: Sequence[float | None], max_gap: int) -> list[float
     first, run = np.repeat(starts[fill], size[fill]), np.repeat(size[fill], size[fill])
     left, right = arr[first - 1], arr[first + run]
     t = (index - first + 1) / (run + 1)
-    out[index] = left + t * (right - left)
-    return _as_list(out, False)
+    with refusing("gap interpolation overflows double precision"):
+        out[index] = left + t * (right - left)
+    return _as_list(out)
 
 
 def sentinel_scan(session: Session,
@@ -134,15 +141,13 @@ def sentinel_scan(session: Session,
     if not 0.0 <= confidence_threshold <= 1.0:
         raise ValueError(f"confidence threshold {confidence_threshold} not in [0, 1]")
     scan: dict[str, SentinelCounts] = {}
-    for part in SKELETON_PARTS:
-        confidences = _column(session, f"{part}_confidence")
-        low = int((confidences < confidence_threshold).sum())
-        for axis in SKELETON_AXES:
-            own = axis == "confidence"
-            col = confidences if own else _column(session, f"{part}_{axis}")
-            scan[f"hardware_skeleton_{part}_{axis}"] = SentinelCounts(
+    for _, _, keys in _KEYPOINT_KEYS:
+        low = int((_column(session, keys[-1]) < confidence_threshold).sum())
+        for key in keys:
+            col = _column(session, key)
+            scan[key] = SentinelCounts(
                 minus_one_count=int((col == -1).sum()), zero_count=int((col == 0).sum()),
-                low_confidence_count=0 if own else low)
+                low_confidence_count=0 if key == keys[-1] else low)
     return scan
 
 

@@ -21,16 +21,7 @@ import numpy as np
 from . import analytics
 from ._series import median, refusing, runs
 from .errors import InvariantError, MissingChorusIds, OutOfTrack, TooFewBeats, TooFewRecords
-from .model import (
-    NONPERFORMANCE_CHORUS_IDS,
-    PERFORMANCE_CHORUS_IDS,
-    BeatGrid,
-    Session,
-    _as_list,
-    _column,
-    _isin,
-    column_values,
-)
+from .model import BeatGrid, Session, _as_list, _column, _in_performance, column_values
 from .quality import OutlierEntry, iqr_outliers
 
 PER_BAR_STATS = ("mean", "sum", "std", "min", "max")
@@ -56,7 +47,8 @@ class DeltaProfile:
 
 @dataclass(frozen=True)
 class ChorusSegment:
-    """Maximal run of records sharing one chorus id (indices inclusive)."""
+    """Maximal run of records sharing one chorus id (indices inclusive); it
+    is in the performance unless the id is 0 or 999."""
 
     chorus_id: int
     start_index: int
@@ -86,22 +78,21 @@ def infer_sampling_rate(session: Session) -> SamplingProfile:
 
     Raises:
         TooFewRecords: Fewer than 2 records, so no interval exists.
-        InvariantError: An interval, or their sum, overflows double
-            precision (a finite clock can span more than the largest
-            double), the mean interval is not above 0 ms, or it is so
-            small (a few subnormal steps) that the rate overflows.
+        NonFinite: An interval, or their sum, overflows double precision
+            (a finite clock can span more than the largest double), or the
+            mean interval is so small (a few subnormal steps) that the rate
+            overflows.
+        InvariantError: The mean interval is not above 0 ms.
     """
     if len(session) < 2:
         raise TooFewRecords("sampling rate needs >= 2 records")
-    with refusing("position intervals overflow double precision", InvariantError):
+    with refusing("position intervals overflow double precision"):
         intervals = np.diff(_column(session, "backing_track_position"))
         mean_ms = float(intervals.mean())
     if not mean_ms > 0:
         raise InvariantError(f"mean position interval must be > 0 ms, got {mean_ms!r}")
-    rate = 1000.0 / mean_ms
-    if not np.isfinite(rate):
-        raise InvariantError(f"sampling rate overflows double precision "
-                             f"(mean interval {mean_ms!r} ms)")
+    with refusing(f"sampling rate overflows double precision (mean interval {mean_ms!r} ms)"):
+        rate = float(np.float64(1000.0) / mean_ms)  # numpy scalars raise; floats would not
     return SamplingProfile(
         mean_interval_ms=mean_ms,
         median_interval_ms=float(median(intervals)),
@@ -133,8 +124,9 @@ def delta_profile(session: Session, bins: int = 20,
 def segment_choruses(session: Session) -> list[ChorusSegment]:
     """Split the session into maximal constant-chorus runs, in order.
 
-    Ids 1-5 are flagged as performance segments; 0 and 999 are the pre and
-    post tails.
+    Every id but 0 and 999, the pre and post tails, is flagged as a
+    performance segment, as ``aggregate_per_bar`` and ``compare`` count
+    its records.
 
     Raises:
         MissingChorusIds: Some record has no chorus id; impute first.
@@ -144,10 +136,11 @@ def segment_choruses(session: Session) -> list[ChorusSegment]:
         raise MissingChorusIds("chorus_id missing on some records")
     starts, ends = runs(chorus)
     ids = _as_list(chorus[starts], integer=True)
+    inside = _in_performance(chorus).tolist()
     positions = _column(session, "backing_track_position").tolist()
     return [ChorusSegment(chorus_id=chorus_id, start_index=start, end_index=end - 1,
                           start_ms=positions[start], end_ms=positions[end - 1],
-                          performance=chorus_id in PERFORMANCE_CHORUS_IDS)
+                          performance=inside[start])
             for chorus_id, start, end in zip(ids, starts.tolist(), ends.tolist())]
 
 
@@ -214,7 +207,7 @@ def _bar_groups(session: Session, grid: BeatGrid, values: np.ndarray,
     _, beat, keep = _align(_column(session, "backing_track_position"), grid, offset_ms)
     keep &= ~np.isnan(values)
     if not include_nonperformance:
-        keep &= ~_isin(_column(session, "chorus_id"), NONPERFORMANCE_CHORUS_IDS)
+        keep &= _in_performance(_column(session, "chorus_id"))
     bars = beat[keep] // 4
     order = np.argsort(bars, kind="stable")
     bounds = np.cumsum(np.bincount(bars, minlength=grid.n_bars))[:-1]

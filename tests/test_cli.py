@@ -30,8 +30,9 @@ from musicking_lab.cli import (
     write_json,
 )
 from musicking_lab.errors import NonFinite, TooFewSessions, UnknownSession
-from musicking_lab.ingest import serialize_session
+from musicking_lab.ingest import load_session, serialize_session
 from musicking_lab.model import EEG_CHANNELS, SKELETON_PARTS
+from musicking_lab.timing import per_bar_chorus, segment_choruses
 
 ANALYZE_SECTIONS = {
     "sampling_profile", "delta_profile", "chorus_segments", "summaries",
@@ -441,6 +442,27 @@ class TestCmdCompare:
         assert counts("--include-nonperformance") == lengths
         # the 20 lead-in (chorus 0) and 59 tail (chorus 999) records
         assert counts() == {sid: n - 79 for sid, n in lengths.items()}
+
+    def test_one_performance_rule(self, tmp_path, grid):
+        # A chorus id outside {0..5, 999} passes ingest; the chorus segments,
+        # compare's statistics and overlays, and cluster's per-bar chorus
+        # all count its records as performance.
+        chorus = [0] * 10 + [1] * 20 + [7] * 20 + [999] * 10
+        for session_id in ("a", "b"):
+            write_rows(tmp_path / "data", session_id, 60, sync_chorus_id=chorus,
+                       hardware_bitalino_eda=[400 + i % 7 for i in range(60)],
+                       flow=[3 + i % 3 for i in range(60)])
+        session = load_session(tmp_path / "data" / "a.json")
+        assert [(seg.chorus_id, len(seg)) for seg in segment_choruses(session)
+                if seg.performance] == [(1, 20), (7, 20)]
+        assert per_bar_chorus(session, grid)[:3] == [1, 7, None]
+        assert cmd_compare(config_for(tmp_path)) == 0
+        out = tmp_path / "out" / "compare"
+        lines = (out / "eda_summary.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[:2] for line in lines] == [["a", "40"], ["b", "40"]]
+        top = json.loads((out / "top_correlated.json").read_text())
+        assert {sid: [(c["chorus_id"], len(c["eda"])) for c in entry["choruses"]]
+                for sid, entry in top.items()} == {sid: [(1, 20), (7, 20)] for sid in "ab"}
 
     def test_insufficient_data_sections(self, tmp_path):
         data = tmp_path / "data"

@@ -101,6 +101,10 @@ class TestImputeMedian:
         with pytest.raises(AllMissing):
             impute_median([None, None])
 
+    def test_overflowing_median_is_refused(self):
+        with pytest.raises(NonFinite, match="^median imputation overflows double precision$"):
+            impute_median([1.7e308, 1.7e308, None])
+
     @given(series_st)
     def test_non_null_preserved_and_median_stable(self, values):
         non_null = [v for v in values if v is not None]
@@ -130,9 +134,17 @@ class TestInterpolateGaps:
     def test_two_sample_gap(self):
         assert interpolate_gaps([0, None, None, 3], max_gap=2) == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("values, message", [
+        ([-1.7e308, None, 1.7e308], "gap interpolation overflows double precision"),
+        ([1.0, math.inf, None, 3.0], "gap interpolation of an infinite value"),
+    ], ids=["fill overflows", "infinite value"])
+    def test_refusals(self, values, message):
+        with pytest.raises(NonFinite, match=f"^{message}$"):
+            interpolate_gaps(values, max_gap=1)
+
     @given(st.lists(st.none() | st.floats(-1e300, 1e300), max_size=60), st.integers(-1, 6))
     def test_matches_sample_scan_exactly(self, values, max_gap):
-        # finite values only: inf - inf would raise an invalid-value warning
+        # finite values only: an infinite value is refused
         assert [repr(v) for v in interpolate_gaps(values, max_gap)] == \
                [repr(v) for v in reference_interpolate_gaps(values, max_gap)]
 

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from musicking_lab import analytics, quality, stats
 from musicking_lab._series import median, percentile, runs
+from musicking_lab.errors import MusickingError
 
 
 class TestRuns:
@@ -73,3 +76,45 @@ class TestOrderStatistics:
         percentile(x, [25, 75])
         median(x)
         assert x.tolist() == [3.0, 1.0, 2.0, 0.0]
+
+
+# Every public function of a nullable series, with settings it accepts, as a
+# call on a pair of equally long series x and y.
+_SERIES_FUNCTIONS = {
+    "describe": lambda x, y: analytics.describe(x),
+    "histogram": lambda x, y: analytics.histogram(x, 3),
+    "rolling mean": lambda x, y: analytics.rolling_stat(x, 2, "mean"),
+    "rolling variance": lambda x, y: analytics.rolling_stat(x, 3, "variance"),
+    "detect_peaks": lambda x, y: analytics.detect_peaks(x, 2, 1.0),
+    "correlate": lambda x, y: analytics.correlate(x, y),
+    "spearman": lambda x, y: analytics.correlate(x, y, "spearman"),
+    "correlation_matrix": lambda x, y: analytics.correlation_matrix({"x": x, "y": y}),
+    "windowed_correlation": lambda x, y: analytics.windowed_correlation(x, y, 3),
+    "occupancy_grid": lambda x, y: analytics.occupancy_grid(x, y, 3, 2),
+    "iqr_outliers": lambda x, y: quality.iqr_outliers(x),
+    "impute_median": lambda x, y: quality.impute_median(x),
+    "interpolate_gaps": lambda x, y: quality.interpolate_gaps(x, 2),
+    "anova_oneway": lambda x, y: stats.anova_oneway([x, y]),
+}
+# Magnitudes whose sums, differences and quotients overflow or underflow.
+_EXTREMES = [1.7e308, -1.7e308, 1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0, 1.0, None]
+
+
+def _pair(n: int):
+    series = st.lists(st.sampled_from(_EXTREMES), min_size=n, max_size=n)
+    return st.tuples(series, series)
+
+
+class TestOverflowPolicy:
+    """A numpy overflow is refused where it happens, never emitted as a warning."""
+
+    @pytest.mark.parametrize("call", _SERIES_FUNCTIONS.values(), ids=_SERIES_FUNCTIONS)
+    @settings(max_examples=150, deadline=None)
+    @given(pair=st.integers(0, 12).flatmap(_pair))
+    def test_returns_or_refuses_without_a_warning(self, call, pair):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                call(*pair)
+            except MusickingError:
+                pass

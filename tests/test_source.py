@@ -188,3 +188,45 @@ def test_no_warning_filters():
              for name, node in _references(ast.parse(path.read_text(), str(path)))
              if name in ("catch_warnings", "simplefilter")]
     assert found == []
+
+
+# ``model`` alone decides each session convention: which records are the
+# performance (``_in_performance``), each column's on-disk key (``_COLUMNS``)
+# and how a null leaves the package (``_as_list``).
+_CHORUS_RULE = {"CHORUS_IDS", "NONPERFORMANCE_CHORUS_IDS", "_isin"}
+
+
+def test_only_model_reads_the_chorus_ids():
+    found = [f"{path.name}:{node.lineno}: {name}; use model._in_performance"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "model.py"
+             for name, node in _references(ast.parse(path.read_text(), str(path)))
+             if name in _CHORUS_RULE]
+    assert found == []
+
+
+def test_only_model_spells_an_on_disk_key():
+    # An f-string's literal parts are string constants too.
+    found = [f"{path.name}:{node.lineno}: {node.value!r}; use model._COLUMNS"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "model.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and "hardware_" in node.value]
+    assert found == []
+
+
+def test_only_as_list_nulls_a_nan():
+    # ``v != v`` is the NaN test of a Python value; ``model._as_list`` is the
+    # one place that turns NaN into None.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for statement in ast.parse(path.read_text(), str(path)).body:
+            if (path.name, getattr(statement, "name", None)) == ("model.py", "_as_list"):
+                continue
+            found += [f"{path.name}:{node.lineno}: {node.left.id} != {node.left.id}; "
+                      "use model._as_list"
+                      for node in ast.walk(statement) if isinstance(node, ast.Compare)
+                      and isinstance(node.left, ast.Name)
+                      and any(isinstance(op, ast.NotEq) and isinstance(right, ast.Name)
+                              and right.id == node.left.id
+                              for op, right in zip(node.ops, node.comparators))]
+    assert found == []

@@ -91,9 +91,9 @@ class TestSamplingRate:
          "sampling rate overflows double precision (mean interval 5e-324 ms)"),
     ], ids=["interval overflows", "sum of intervals overflows", "rate overflows"])
     def test_clock_it_cannot_read(self, positions, message):
-        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$") as exc:
+        # An overflow is refused as every other overflow is, as NonFinite.
+        with pytest.raises(NonFinite, match=f"^{re.escape(message)}$"):
             infer_sampling_rate(session_of(positions))
-        assert exc.type is InvariantError
 
     def test_histogram_counts_sum_to_intervals(self, tmp_path):
         # analyze bins the intervals next to the rate in its sampling_profile.
@@ -152,6 +152,12 @@ class TestSegmentChoruses:
         assert len(segments[-1]) == 59
         assert segments[-1].chorus_id == 999
         assert not segments[-1].performance
+
+    def test_only_0_and_999_are_outside_the_performance(self):
+        # An id outside {0..5, 999} is performance, as compare and cluster count it.
+        s = session_of(list(range(6)), chorus=[0, 1, 5, 7, -2, 999])
+        assert [seg.performance for seg in segment_choruses(s)] == [False, True, True, True,
+                                                                    True, False]
 
     def test_missing_ids(self):
         with pytest.raises(MissingChorusIds):
