@@ -29,6 +29,13 @@ def refusing(message: str):
         raise NonFinite(message) from None
 
 
+def finite(arr: np.ndarray, statistic: str) -> np.ndarray:
+    """``arr``, refused as ``{statistic} of an infinite value`` if it holds +-inf (not NaN)."""
+    if np.isinf(arr).any():
+        raise NonFinite(f"{statistic} of an infinite value")
+    return arr
+
+
 def nonnull(arr: np.ndarray) -> np.ndarray:
     return arr[~np.isnan(arr)]
 

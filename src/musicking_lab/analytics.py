@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._series import as_array, nonnull, percentile, refusing, runs
+from ._series import as_array, finite, nonnull, percentile, refusing, runs
 from .errors import (
     DegenerateSeries,
     EmptySeries,
@@ -67,11 +67,9 @@ def describe(values: Sequence[float | None]) -> SeriesSummary:
         EmptySeries: No non-null value.
         NonFinite: An infinite value, or an overflow (even the sum of ``[1.7e308] * 3``).
     """
-    clean = nonnull(as_array(values))
+    clean = finite(nonnull(as_array(values)), "describe")
     if clean.size == 0:
         raise EmptySeries("describe needs at least one non-null value")
-    if not np.isfinite(clean).all():
-        raise NonFinite("describe of an infinite value")
     with refusing("describe overflows double precision"):
         q25, median, q75 = percentile(clean, [25.0, 50.0, 75.0])
         return SeriesSummary(
@@ -102,11 +100,9 @@ def histogram(values: Sequence[float | None], bins: int) -> list[tuple[float, fl
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    clean = nonnull(as_array(values))
+    clean = finite(nonnull(as_array(values)), "histogram")
     if clean.size == 0:
         raise EmptySeries("histogram needs at least one non-null value")
-    if not np.isfinite(clean).all():
-        raise NonFinite("histogram of an infinite value")
     try:
         with refusing("histogram range overflows double precision"):
             counts, edges = np.histogram(clean, bins=bins)
@@ -130,9 +126,7 @@ def rolling_stat(values: Sequence[float | None], window_samples: int,
         raise ValueError(f"window_samples must be >= 1, got {window_samples}")
     if kind not in ("mean", "variance"):
         raise ValueError(f"kind must be 'mean' or 'variance', got {kind!r}")
-    arr = as_array(values)
-    if np.isinf(arr).any():
-        raise NonFinite(f"rolling {kind} of an infinite value")
+    arr = finite(as_array(values), f"rolling {kind}")
     if arr.size < window_samples:
         return [None] * arr.size
     windows = sliding_window_view(arr, window_samples)
@@ -357,19 +351,20 @@ def mean_trajectory(session: Session, parts: Sequence[str],
 
     Raises:
         UnknownPart: A name outside the skeleton part set.
-        NonFinite: A record's sum of coordinates overflows double precision.
+        NonFinite: An infinite coordinate, or a record's sum that overflows.
     """
     if not parts:
         raise UnknownPart("parts list is empty")
     for part in parts:
         if part not in SKELETON_PARTS:
             raise UnknownPart(f"unknown body part: {part!r}")
+    columns = [[finite(_column(session, f"{part}_{a}"), "mean trajectory") for a in "xy"]
+               for part in parts]
     # Summed part by part from 0.0 in the order given, as sum(xs) / len(xs)
     # adds them; a reduction over the parts could round differently.
     sum_x, sum_y, count = np.zeros((3, len(session)))
     with refusing("mean trajectory overflows double precision"):
-        for part in parts:
-            x, y = _column(session, f"{part}_x"), _column(session, f"{part}_y")
+        for x, y in columns:
             valid = ~np.isnan(x) & ~((x == SENTINEL) & (y == SENTINEL))
             sum_x += np.where(valid, x, 0.0)
             sum_y += np.where(valid, y, 0.0)
@@ -388,7 +383,7 @@ def occupancy_grid(xs: Sequence[float | None], ys: Sequence[float | None],
 
     Raises:
         NoValidPoints: Every sample is sentinel or null.
-        NonFinite: An infinite coordinate among the valid samples.
+        NonFinite: An infinite value among the valid samples.
         ValueError: Grid dimensions < 1.
     """
     if grid_w < 1 or grid_h < 1:
@@ -399,9 +394,7 @@ def occupancy_grid(xs: Sequence[float | None], ys: Sequence[float | None],
     mask = ~np.isnan(ax) & ~np.isnan(ay) & (ax != SENTINEL) & (ay != SENTINEL)
     if not mask.any():
         raise NoValidPoints("no non-sentinel (x, y) samples")
-    px, py = ax[mask], ay[mask]
-    if not (np.isfinite(px).all() and np.isfinite(py).all()):
-        raise NonFinite("occupancy grid of an infinite coordinate")
+    px, py = (finite(a[mask], "occupancy grid") for a in (ax, ay))
     counts = np.zeros((grid_h, grid_w), dtype=int)
     col = _cells(px, grid_w)
     row = _cells(py, grid_h)

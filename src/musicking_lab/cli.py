@@ -8,7 +8,7 @@ its files before one writer creates any, so a refused run writes nothing
 under --out, and an unwritable --out is reported after the work.
 
 Exit codes: 0 success, 1 usage or I/O error, 2 partial success (some
-dataset files skipped).
+dataset files skipped; ``validate`` alone, since ``compare`` only warns).
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -113,18 +114,20 @@ _SETTINGS = (
     ("iqr_k", "--iqr-k", float, "IQR fence multiplier for outliers"),
     ("window_seconds", "--window-seconds", float, "rolling-window length in seconds"),
     ("exclude_nonperformance", "--include-nonperformance", _read_bool,
-     "keep chorus 0/999 records in analyses"),
+     "keep chorus 0/999 records in compare and cluster"),
     ("seed", "--seed", int, "random seed (>= 0)"),
     ("k_range", "--k-range", parse_k_range, "inclusive LO:HI"),
     ("svg", "--svg", _read_bool, "render SVG figures"),
 )
 
 
-def _read(name: str, reader, text):
+@contextmanager
+def _named(name: str, error: type[Exception] = MusickingError):
+    """Put the name of an input (a setting, a file, a session) before an ``error``'s message."""
     try:
-        return reader(text)
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+        yield
+    except error as exc:
+        raise type(exc)(f"{name}: {exc}") from None
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -149,7 +152,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         for key, text in load_config_file(args.config).items():
             if key not in readers:
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = _read(f"config key {key!r}", readers[key], text)
+            with _named(f"config key {key!r}", ValueError):
+                values[key] = readers[key](text)
     if "dataset_dir" not in values and os.environ.get(DATASET_ENV_VAR):
         values["dataset_dir"] = os.environ[DATASET_ENV_VAR]
     for field, flag, reader, _ in _SETTINGS:
@@ -158,7 +162,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             if value:
                 values[field] = not getattr(RunConfig, field)
         elif value is not None:
-            values[field] = _read(flag, reader, value)
+            with _named(flag, ValueError):
+                values[field] = reader(value)
     config = RunConfig(**values)
     config.validate()
     return config
@@ -207,10 +212,8 @@ def _write(output_dir: str, files: dict) -> None:
 def _load_grid(config: RunConfig) -> BeatGrid:
     if config.beat_grid_path is None:
         return load_bundled_beat_grid()
-    try:
+    with _named(config.beat_grid_path):  # named like a skipped session file
         return parse_beat_grid(Path(config.beat_grid_path).read_bytes())
-    except MusickingError as exc:  # named like a skipped session file
-        raise type(exc)(f"{config.beat_grid_path}: {exc}") from None
 
 
 def _find_session(config: RunConfig, session_id: str) -> Session:
@@ -228,10 +231,8 @@ def cmd_validate(config: RunConfig) -> int:
     walk = DatasetWalk(config.dataset_dir)
     files = {}
     for session in walk:
-        try:
+        with _named(f"session {session.session_id!r}"):
             report = quality.integrity_report(session, config.confidence_threshold, iqr_k=config.iqr_k)
-        except NonFinite as exc:  # named as _load_grid names the grid file
-            raise NonFinite(f"session {session.session_id!r}: {exc}") from None
         files[f"validate/{session.session_id}.quality.json"] = report.as_dict()
     manifest = walk.manifest()
     files["validate/summary.json"] = {
@@ -360,7 +361,7 @@ def _top_correlated(correlations: dict[str, float]) -> list[str]:
     return [session_id for session_id, _ in ranked[:TOP_CORRELATED_SESSIONS]]
 
 
-def _overlay(session: Session) -> list[dict]:
+def _overlay(session: Session, keep: np.ndarray) -> list[dict]:
     from . import timing
     try:
         segments = timing.segment_choruses(session)
@@ -374,7 +375,7 @@ def _overlay(session: Session) -> list[dict]:
         "t_ms": t_ms[seg.start_index:seg.end_index + 1],
         "eda": eda[seg.start_index:seg.end_index + 1],
         "flow": flow[seg.start_index:seg.end_index + 1],
-    } for seg in segments if seg.performance]
+    } for seg in segments if keep[seg.start_index]]
 
 
 def _box(summary, eda, iqr_k: float) -> dict:
@@ -391,36 +392,35 @@ def cmd_compare(config: RunConfig) -> int:
     outputs need is kept, and the outputs are ordered by session id.
     """
     from . import analytics, stats
-    session_count = 0
+    walk = DatasetWalk(config.dataset_dir)
     summary_rows = []
     box_stats = {}
     groups = {}
     correlations = {}
     overlays = {}  # choruses of the sessions currently among the top correlated
-    for session in DatasetWalk(config.dataset_dir):
-        session_count += 1
+    for session in walk:
         session_id = session.session_id
         keep = _in_performance(_column(session, "chorus_id")) | (not config.exclude_nonperformance)
         eda, flow = (_column(session, name)[keep] for name in ("eda", "flow"))
-        try:
-            summary = analytics.describe(eda)
-        except InsufficientData:
-            continue
-        summary_rows.append([session_id, summary.count, summary.mean, summary.std,
-                             summary.min, summary.q25, summary.median, summary.q75,
-                             summary.max])
-        box_stats[session_id] = _or_insufficient(lambda: _box(summary, eda, config.iqr_k))
-        groups[session_id] = eda
-        try:
-            correlations[session_id] = analytics.correlate(eda, flow)
-        except InsufficientData:
-            continue
-        top = _top_correlated(correlations)
-        if session_id in top:
-            overlays[session_id] = _overlay(session)
-            overlays = {sid: overlays[sid] for sid in top if sid in overlays}
-    if session_count < 2:
-        raise TooFewSessions(f"compare needs >= 2 sessions, found {session_count}")
+        with _named(f"session {session_id!r}"):
+            try:
+                summary = analytics.describe(eda)
+            except InsufficientData:
+                continue
+            summary_rows.append([session_id, *astuple(summary)])
+            box_stats[session_id] = _or_insufficient(lambda: _box(summary, eda, config.iqr_k))
+            groups[session_id] = eda
+            try:
+                correlations[session_id] = analytics.correlate(eda, flow)
+            except InsufficientData:
+                continue
+            top = _top_correlated(correlations)
+            if session_id in top:
+                overlays[session_id] = _overlay(session, keep)
+                overlays = {sid: overlays[sid] for sid in top if sid in overlays}
+    manifest = walk.manifest()
+    if len(manifest.entries) < 2:
+        raise TooFewSessions(f"compare needs >= 2 sessions, found {len(manifest.entries)}")
 
     summary_rows.sort(key=lambda row: row[0])
     _write(config.output_dir, {
@@ -435,7 +435,9 @@ def cmd_compare(config: RunConfig) -> int:
             sid: {"correlation": correlations[sid], "choruses": overlays[sid]}
             for sid in _top_correlated(correlations)},
     })
-    log.info("compared %d sessions into %s", session_count, Path(config.output_dir, "compare"))
+    for path, reason in manifest.skipped:
+        log.warning("skipped %s: %s", path, reason)
+    log.info("compared %d sessions into %s", len(manifest.entries), Path(config.output_dir, "compare"))
     return 0
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._series import refusing
+from ._series import finite, refusing
 from .errors import InvalidK, InvalidRange, NonFinite, TooFewRows
 from .model import BarFeatureMatrix, BeatGrid, Session, _column
 from .timing import PER_BAR_STATS, _bar_groups, _bar_stat
@@ -73,12 +73,12 @@ def bar_features(session: Session, grid: BeatGrid, column: str,
     Raises:
         UnknownColumn: Column name does not resolve.
         ValueError: Unsupported feature statistic.
-        NonFinite: A bar's statistic or a z-score overflows double precision.
+        NonFinite: An infinite value, or a bar's statistic or a z-score that overflows.
     """
     for stat in features:
         if stat not in PER_BAR_STATS:
             raise ValueError(f"feature must be one of {PER_BAR_STATS}, got {stat!r}")
-    values = _column(session, column).copy()
+    values = finite(_column(session, column), f"per-bar features of {column}").copy()
     if chorus is not None:
         values[_column(session, "chorus_id") != chorus] = np.nan
     groups = _bar_groups(session, grid, values, include_nonperformance, offset_ms)

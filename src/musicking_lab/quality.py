@@ -13,8 +13,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._series import as_array, median, nonnull, percentile, refusing, runs
-from .errors import AllMissing, NonFinite, TooFewValues
+from ._series import as_array, finite, median, nonnull, percentile, refusing, runs
+from .errors import AllMissing, TooFewValues
 from .model import (
     _KEYPOINT_KEYS,
     ColumnQuality,
@@ -60,8 +60,7 @@ def _iqr_mask(values, k: float) -> tuple[np.ndarray, float, float]:
     clean = nonnull(arr)
     if clean.size < 4:
         raise TooFewValues(f"IQR needs >= 4 non-null values, got {clean.size}")
-    if not np.isfinite(clean).all():
-        raise NonFinite("IQR of an infinite value")
+    finite(clean, "IQR")
     with refusing("IQR fences overflow double precision"):
         q1, q3 = percentile(clean, [25.0, 75.0])
         iqr = q3 - q1
@@ -91,9 +90,9 @@ def impute_median(values: Sequence[float | None]) -> list[float | None]:
 
     Raises:
         AllMissing: No non-null value to take a median of.
-        NonFinite: The median overflows double precision.
+        NonFinite: An infinite value, or a median that overflows double precision.
     """
-    arr = as_array(values)
+    arr = finite(as_array(values), "median imputation")
     clean = nonnull(arr)
     if clean.size == 0:
         raise AllMissing("cannot impute an all-null series")
@@ -111,9 +110,7 @@ def interpolate_gaps(values: Sequence[float | None], max_gap: int) -> list[float
     Raises:
         NonFinite: An infinite value, or a fill that overflows double precision.
     """
-    arr = as_array(values)
-    if np.isinf(arr).any():
-        raise NonFinite("gap interpolation of an infinite value")
+    arr = finite(as_array(values), "gap interpolation")
     out = arr.copy()
     starts, ends = runs(np.isnan(arr))
     size = ends - starts

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._series import as_array, nonnull, refusing
-from .errors import DegenerateVariance, NoConvergence, NonFinite, TooFewGroups
+from ._series import as_array, finite, nonnull, refusing
+from .errors import DegenerateVariance, NoConvergence, TooFewGroups
 
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 1000
@@ -123,8 +123,7 @@ def anova_oneway(groups: Sequence[Sequence[float | None]]) -> AnovaResult:
     for i, g in enumerate(cleaned):
         if g.size < 2:
             raise TooFewGroups(f"group {i} has {g.size} non-null values, needs >= 2")
-        if not np.isfinite(g).all():
-            raise NonFinite(f"ANOVA of an infinite value (group {i})")
+        finite(g, f"ANOVA group {i}")
 
     sizes = np.array([g.size for g in cleaned], dtype=float)
     total = float(sizes.sum())

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from ._series import median, refusing, runs
+from ._series import finite, median, refusing, runs
 from .errors import InvariantError, MissingChorusIds, OutOfTrack, TooFewBeats, TooFewRecords
 from .model import BeatGrid, Session, _as_list, _column, _in_performance, column_values
 from .quality import OutlierEntry, iqr_outliers
@@ -228,11 +228,11 @@ def aggregate_per_bar(session: Session, grid: BeatGrid, column: str,
     Raises:
         UnknownColumn: Column name does not resolve.
         ValueError: Unsupported statistic.
-        NonFinite: A bar's statistic overflows double precision.
+        NonFinite: An infinite value, or a bar's statistic that overflows.
     """
     if stat not in PER_BAR_STATS:
         raise ValueError(f"stat must be one of {PER_BAR_STATS}, got {stat!r}")
-    values = _column(session, column)
+    values = finite(_column(session, column), f"per-bar {stat} of {column}")
     groups = _bar_groups(session, grid, values, include_nonperformance, offset_ms)
     with refusing(f"per-bar {stat} of {column} overflows double precision"):
         return [_bar_stat(bucket, stat) for bucket in groups]

@@ -12,6 +12,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from musicking_lab.errors import NonFinite
 from musicking_lab.model import (
     CHORUS_IDS,
     EEG_CHANNELS,
@@ -389,7 +390,14 @@ def oracle_validate_session(records) -> list[str]:
 
 
 def oracle_mean_trajectory(records, parts) -> tuple[list, list]:
-    """Per-record sum(xs) / len(xs) over the listed parts, sentinels skipped."""
+    """Per-record sum(xs) / len(xs) over the listed parts, sentinels skipped.
+
+    Raises NonFinite for an infinite coordinate of a listed part, and then
+    for a sum that overflows, as ``mean_trajectory`` words them."""
+    if any(c is not None and math.isinf(c) for record in records for part in parts
+           if part in record.keypoints
+           for c in (record.keypoints[part].x, record.keypoints[part].y)):
+        raise NonFinite("mean trajectory of an infinite value")
     mean_x, mean_y = [], []
     for record in records:
         xs, ys = [], []
@@ -399,6 +407,8 @@ def oracle_mean_trajectory(records, parts) -> tuple[list, list]:
                 continue
             xs.append(point.x)
             ys.append(point.y)
+        if math.isinf(sum(xs)) or math.isinf(sum(ys)):
+            raise NonFinite("mean trajectory overflows double precision")
         mean_x.append(sum(xs) / len(xs) if xs else None)
         mean_y.append(sum(ys) / len(ys) if ys else None)
     return mean_x, mean_y

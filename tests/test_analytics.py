@@ -569,6 +569,12 @@ class TestMeanTrajectory:
         with pytest.raises(NonFinite, match="^mean trajectory overflows double precision$"):
             mean_trajectory(s, ["nose", "neck"])
 
+    @pytest.mark.parametrize("neck", [kp(1.0, 1.0), kp(-math.inf, 1.0)])
+    def test_infinite_coordinate(self, neck):
+        s = session_of([0], keypoints=[{"nose": kp(math.inf, 1.0), "neck": neck}])
+        with pytest.raises(NonFinite, match="^mean trajectory of an infinite value$"):
+            mean_trajectory(s, ["nose", "neck"])
+
     def test_unknown_part(self):
         with pytest.raises(UnknownPart):
             mean_trajectory(session_of([0]), ["hip"])

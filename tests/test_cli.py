@@ -464,6 +464,35 @@ class TestCmdCompare:
         assert {sid: [(c["chorus_id"], len(c["eda"])) for c in entry["choruses"]]
                 for sid, entry in top.items()} == {sid: [(1, 20), (7, 20)] for sid in "ab"}
 
+    @pytest.mark.parametrize("flags, choruses", [
+        ((), [(1, 20)]),
+        (("--include-nonperformance",), [(0, 10), (1, 20), (999, 10)]),
+    ], ids=["default", "include-nonperformance"])
+    def test_overlays_follow_include_nonperformance(self, tmp_path, flags, choruses):
+        chorus = [0] * 10 + [1] * 20 + [999] * 10
+        for session_id in ("a", "b"):
+            write_rows(tmp_path / "data", session_id, 40, sync_chorus_id=chorus,
+                       hardware_bitalino_eda=[400 + i % 7 for i in range(40)],
+                       flow=[3 + i % 3 for i in range(40)])
+        assert main(["compare", "--dataset", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "out"), *flags]) == 0
+        top = json.loads((tmp_path / "out" / "compare" / "top_correlated.json").read_text())
+        assert {sid: [(c["chorus_id"], len(c["eda"])) for c in entry["choruses"]]
+                for sid, entry in top.items()} == {sid: choruses for sid in "ab"}
+
+    def test_warns_about_each_skipped_file(self, tmp_path, caplog):
+        for session_id in ("a", "b"):
+            write_rows(tmp_path / "data", session_id, 10, sync_chorus_id=[1] * 10,
+                       hardware_bitalino_eda=[400 + i % 3 for i in range(10)])
+        (tmp_path / "data" / "broken.json").write_text("[{")
+        with caplog.at_level("INFO", logger="musicking_lab"):
+            assert main(["compare", "--dataset", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert [record.levelname for record in caplog.records] == ["WARNING", "INFO"]
+        assert caplog.records[0].getMessage().startswith(
+            f"skipped {tmp_path / 'data' / 'broken.json'}: ")
+        assert (tmp_path / "out" / "compare" / "eda_summary.csv").exists()
+
     def test_insufficient_data_sections(self, tmp_path):
         data = tmp_path / "data"
         flow = [40 + i for i in range(10)]
@@ -742,7 +771,7 @@ class TestFiniteButHugeValues:
         proc = _run_module(["compare", "--dataset", str(tmp_path / "data"),
                             "--out", str(tmp_path / "out")])
         assert proc.returncode == 1
-        assert proc.stderr == "ERROR describe overflows double precision\n"
+        assert proc.stderr == "ERROR session 'a': describe overflows double precision\n"
         assert not (tmp_path / "out").exists()
 
     def test_validate_names_the_session_whose_fences_overflow(self, tmp_path):
@@ -1046,13 +1075,13 @@ class TestParser:
         "":
             "713f74a0eb8be19a79f63272be350795cd77912967494398715ac504047a59aa",
         "analyze":
-            "6cfa6dd7ff38e629db4993b9a01954c3ee10bc35e21ee2931d6c8c6a2a5fc6bb",
+            "e9c9985fa8a9fda76480c2a58c559d218dc7da36e37eeac4d1fe0e4fab38bd92",
         "cluster":
-            "366ae962ecbe7b5dcedeb1c218849215f01e4d8d29509bedc2ff541b15245430",
+            "bce6391b7cbf69c733ed868d470ac71676cf32da5eae58975abcd2b59e27ece8",
         "compare":
-            "086cc608aceae59e0cba838980a87225a1418f10f3184851c393713b825dc3f5",
+            "60c822ff378e497033d57b4f99901250d31e4fe9375af06979ea00e1d098c376",
         "validate":
-            "1d27adfacbba0b2795b45f555181d0f87f0956bbd7ac36baacbab6b5becc7d99",
+            "178c2ff77d5d700088012535fe8399ba0b35748c264d96ca1d7f45001c6e1913",
     }
 
     @pytest.mark.parametrize("command", sorted(HELP_DIGESTS))

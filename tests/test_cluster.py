@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -75,6 +76,12 @@ class TestBarFeatures:
         s = session_of(positions, eda=eda, chorus=[1, 1])
         with pytest.raises(NonFinite, match="^per-bar features of eda overflow double precision$"):
             bar_features(s, grid, "eda", standardize=standardize)
+
+    @pytest.mark.parametrize("eda", [[math.inf, 1.0], [math.inf, -math.inf]])
+    def test_infinite_value(self, grid, eda):
+        s = session_of([1000.0, 1100.0], eda=eda, chorus=[1, 1])
+        with pytest.raises(NonFinite, match="^per-bar features of eda of an infinite value$"):
+            bar_features(s, grid, "eda")
 
     def test_bad_feature_name(self, grid):
         with pytest.raises(ValueError):

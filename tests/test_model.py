@@ -19,7 +19,7 @@ from helpers import (
     session_of,
 )
 from musicking_lab.analytics import mean_trajectory
-from musicking_lab.errors import InvariantError, SchemaError, UnknownColumn
+from musicking_lab.errors import InvariantError, NonFinite, SchemaError, UnknownColumn
 from musicking_lab.ingest import parse_session_file
 from musicking_lab.model import (
     BarFeatureMatrix,
@@ -525,6 +525,11 @@ class TestColumnarOracle:
         session = _session_or_refusal(records)
         if session is None:
             return
+        try:
+            expected = oracle_mean_trajectory(records, parts)
+        except NonFinite as refusal:
+            with pytest.raises(NonFinite, match=f"^{refusal}$"):
+                mean_trajectory(session, parts)
+            return
         got = mean_trajectory(session, parts)
-        expected = oracle_mean_trajectory(records, parts)
         assert [_exact(v) for v in got] == [_exact(v) for v in expected]

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from helpers import kp, oracle_quantile, reference_interpolate_gaps, sentinel_kp, session_of
 from musicking_lab.errors import AllMissing, NonFinite, TooFewValues
+from musicking_lab.model import column_values
 from musicking_lab.quality import (
     impute_median,
     integrity_report,
@@ -104,6 +105,12 @@ class TestImputeMedian:
     def test_overflowing_median_is_refused(self):
         with pytest.raises(NonFinite, match="^median imputation overflows double precision$"):
             impute_median([1.7e308, 1.7e308, None])
+
+    @pytest.mark.parametrize("flow", [[math.inf, None, 1.0], [math.inf, -math.inf, None]])
+    def test_infinite_value(self, flow):
+        values = column_values(session_of([0.0, 1.0, 2.0], flow=flow), "flow")
+        with pytest.raises(NonFinite, match="^median imputation of an infinite value$"):
+            impute_median(values)
 
     @given(series_st)
     def test_non_null_preserved_and_median_stable(self, values):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from musicking_lab import analytics, quality, stats
 from musicking_lab._series import median, percentile, runs
-from musicking_lab.errors import MusickingError
+from musicking_lab.errors import InsufficientData, MusickingError, NonFinite
 
 
 class TestRuns:
@@ -96,8 +96,18 @@ _SERIES_FUNCTIONS = {
     "interpolate_gaps": lambda x, y: quality.interpolate_gaps(x, 2),
     "anova_oneway": lambda x, y: stats.anova_oneway([x, y]),
 }
-# Magnitudes whose sums, differences and quotients overflow or underflow.
-_EXTREMES = [1.7e308, -1.7e308, 1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0, 1.0, None]
+# Magnitudes whose sums, differences and quotients overflow or underflow,
+# and the infinities.
+_EXTREMES = [1.7e308, -1.7e308, 1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0, 1.0, None,
+             math.inf, -math.inf]
+# The functions under the infinite-input policy, each with the values of x
+# and y it reads: occupancy_grid reads only the points with both coordinates
+# (the pool holds no sentinel -1).
+_READS = {name: lambda x, y: x for name in (
+    "describe", "histogram", "rolling mean", "rolling variance", "iqr_outliers",
+    "impute_median", "interpolate_gaps")}
+_READS["anova_oneway"] = lambda x, y: x + y
+_READS["occupancy_grid"] = lambda x, y: [v for p in zip(x, y) if None not in p for v in p]
 
 
 def _pair(n: int):
@@ -118,3 +128,21 @@ class TestOverflowPolicy:
                 call(*pair)
             except MusickingError:
                 pass
+
+    @pytest.mark.parametrize("name", _READS)
+    @settings(max_examples=150, deadline=None)
+    @given(pair=st.integers(0, 12).flatmap(_pair))
+    def test_refuses_an_infinite_value_as_one(self, name, pair):
+        """An infinite value read is refused as one, unless too little data is
+        refused first; the refusal names the statistic it stopped."""
+        infinite = any(v is not None and math.isinf(v) for v in _READS[name](*pair))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                _SERIES_FUNCTIONS[name](*pair)
+            except InsufficientData:
+                return
+            except NonFinite as exc:
+                assert str(exc).endswith(" of an infinite value") == infinite, exc
+                return
+        assert not infinite

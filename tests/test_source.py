@@ -149,6 +149,16 @@ def test_errstate_only_in_the_overflow_policy():
     assert found == []
 
 
+def test_only_finite_refuses_an_infinite_value():
+    # ``_series.finite`` is the one policy for an infinite input, so every
+    # statistic refuses one in the same words.
+    found = [f"{path.name}:{lineno}: an infinite-value refusal; use _series.finite"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "_series.py"
+             for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+             if "of an infinite value" in line]
+    assert found == []
+
+
 def test_cli_catches_insufficient_data_as_one_family():
     # ``analyze`` and ``compare`` turn every ``errors.InsufficientData`` into
     # a section's marker; naming a subclass in ``cli.py`` would bring back a

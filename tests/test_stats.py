@@ -150,7 +150,7 @@ class TestAnovaOneway:
         ([[-math.inf, 2, None], [3, 4]], 0),
     ])
     def test_infinite_value(self, groups, group):
-        message = f"ANOVA of an infinite value (group {group})"
+        message = f"ANOVA group {group} of an infinite value"
         with pytest.raises(NonFinite, match=f"^{re.escape(message)}$") as exc:
             anova_oneway(groups)
         assert exc.type is NonFinite

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -307,6 +308,17 @@ class TestAggregatePerBar:
         s = session_of([1000.0, 1100.0], eda=[1.7e308, 1.7e308], chorus=[1, 1])
         with pytest.raises(NonFinite,
                            match=f"^per-bar {stat} of eda overflows double precision$"):
+            aggregate_per_bar(s, grid, "eda", stat=stat)
+
+    @pytest.mark.parametrize("stat", ["mean", "std"])
+    @pytest.mark.parametrize("eda, chorus", [
+        ([math.inf, 1.0], [1, 1]),
+        ([math.inf, -math.inf], [1, 1]),
+        ([math.inf, 1.0], [0, 1]),
+    ], ids=["inf", "inf and -inf", "inf outside the performance"])
+    def test_infinite_value(self, grid, stat, eda, chorus):
+        s = session_of([1000.0, 1100.0], eda=eda, chorus=chorus)
+        with pytest.raises(NonFinite, match=f"^per-bar {stat} of eda of an infinite value$"):
             aggregate_per_bar(s, grid, "eda", stat=stat)
 
     def test_unknown_column(self, grid):
